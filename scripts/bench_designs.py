@@ -52,11 +52,10 @@ SCALES = {
 ANNOTATION_KEYS = ("multiword_commits",)
 
 
-def measure_cell(workload, design, scale, engine, journal=None,
-                 backend="reference"):
+def measure_cell(workload, design, scale, engine, journal=None):
     """One workload x design cell: seed-averaged metrics as a dict."""
     config = SimConfig.for_design(
-        design, num_cores=scale["cores"], oracle="shadow", backend=backend,
+        design, num_cores=scale["cores"], oracle="shadow",
     )
     report = api.simulate(
         workload, config, seeds=scale["seeds"],
@@ -213,7 +212,6 @@ def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     cli.add_scale_flag(parser, sorted(SCALES), default="micro")
     cli.add_engine_flags(parser)
-    cli.add_backend_flag(parser)
     cli.add_journal_flags(parser)
     parser.add_argument(
         "--designs", nargs="+", choices=sorted(DESIGN_REGISTRY),
@@ -264,8 +262,7 @@ def main(argv=None):
         row = {}
         for design in designs:
             row[design] = measure_cell(workload, design, scale, engine,
-                                       journal=journal,
-                                       backend=args.backend)
+                                       journal=journal)
         matrix[workload] = row
         print("{:12s} ".format(workload) + "  ".join(
             "{}={:,}".format(design, row[design]["cycles"])
@@ -278,7 +275,6 @@ def main(argv=None):
             "on every workload, oracle-checked, seed-averaged."
         ),
         "scale": args.scale,
-        "backend": args.backend,
         "scale_params": {
             "cores": scale["cores"],
             "ops_per_thread": scale["ops_per_thread"],

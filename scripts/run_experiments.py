@@ -77,7 +77,6 @@ def parse_args(argv):
         help="output JSON path (default: .exp_results.json)",
     )
     cli.add_engine_flags(parser)
-    cli.add_backend_flag(parser)
     cli.add_journal_flags(parser)
     cli.add_trace_flags(parser)
     parser.add_argument(
@@ -142,9 +141,6 @@ def main(argv=None):
         )
     if args.oracle is not None:
         settings.config_overrides["oracle"] = args.oracle
-    # Always journalled (even for the default) so a resumed sweep can
-    # verify it is continuing with the same event loop.
-    settings.config_overrides["backend"] = args.backend
     if args.debug_conflict_check:
         settings.config_overrides["debug_conflict_check"] = True
     jobs = cli.resolve_jobs(args)

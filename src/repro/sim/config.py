@@ -41,13 +41,6 @@ from repro.htm.design import (
 
 _UNSET = object()
 
-#: Registered simulation backends: the reference event loop and the
-#: batched calendar-queue loop (repro.sim.batch). The reference
-#: backend is the semantic oracle; "batch" is bit-identical but
-#: trades per-event hook granularity for throughput (hooks that need
-#: per-event fidelity degrade it back to the reference loop).
-BACKENDS = ("reference", "batch")
-
 #: Serializability-checker modes for ``SimConfig.oracle``:
 #:
 #: - ``"off"``: no checking (the default).
@@ -191,11 +184,6 @@ class SimConfig(Serializable):
     lock_release_cycles: int = 4
     # -- run control --
     max_cycles: int = 60_000_000
-    # Event-loop implementation: "reference" (the oracle heap loop) or
-    # "batch" (bucketed calendar queue + fused struct-of-arrays fast
-    # path; bit-identical results, degrades to the reference loop when
-    # a per-event hook such as trace/oracle/faults/scheduler is armed).
-    backend: str = "reference"
     # -- robustness: fault injection (repro.sim.faults) --
     # All default to "off"; with every rate/amplitude at zero the
     # machine builds no FaultPlan and every hook is a skipped None
@@ -285,12 +273,6 @@ class SimConfig(Serializable):
         if self.oracle_validate_interval < 1:
             raise ConfigurationError(
                 "oracle_validate_interval must be >= 1"
-            )
-        if self.backend not in BACKENDS:
-            raise ConfigurationError(
-                "unknown backend {!r}; choose from {}".format(
-                    self.backend, ", ".join(BACKENDS)
-                )
             )
 
     @property
@@ -387,12 +369,15 @@ class SimConfig(Serializable):
         ``design`` name, so legacy payloads deserialize to the same
         normalized fingerprint as their modern spelling. Pre-v4
         payloads spelled ``oracle`` as a boolean; it migrates to the
-        equivalent mode name the same way. Other unknown keys still
-        raise :class:`ConfigurationError` rather than being silently
-        dropped, so stale cache entries or hand-edited configs fail
-        loudly.
+        equivalent mode name the same way. Pre-v5 payloads carry a
+        ``backend`` event-loop key of either value; it is dropped, since
+        both loops were bit-identical and only one remains. Other
+        unknown keys still raise :class:`ConfigurationError` rather than
+        being silently dropped, so stale cache entries or hand-edited
+        configs fail loudly.
         """
         data = dict(data)
+        data.pop("backend", None)
         if isinstance(data.get("oracle"), bool):
             data["oracle"] = "shadow" if data["oracle"] else "off"
         legacy_powertm = data.pop("powertm", _UNSET)
@@ -491,7 +476,6 @@ SimConfig.__init__ = _shim_init
 
 
 __all__ = [
-    "BACKENDS",
     "ORACLE_MODES",
     "HtmPolicy",
     "SimConfig",

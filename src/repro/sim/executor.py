@@ -16,14 +16,19 @@ region invocation proceeds through attempts:
 
 The executor is driven by :class:`repro.sim.machine.Machine` via
 :meth:`step`, which performs one bounded action and reports either a
-cycle cost or a blocking condition.
+cycle cost or a blocking condition. The dominant action, one operation
+of an AR body, is the fused closure :func:`fused_body_step` builds for
+each executor; the event loop calls it directly.
 """
 
+from repro.common.constants import WORDS_PER_LINE
 from repro.core.modes import ExecMode
 from repro.htm.abort import AbortReason, counts_toward_retry_limit, NON_MEMORY_REASONS
 from repro.htm.arbiter import TxPeerView
 from repro.htm.rwset import CapacityExceeded, ReadWriteSets
+from repro.htm.sharer_index import LineSharers
 from repro.memory.address import line_of_word
+from repro.memory.directory import DirectoryEntry
 from repro.memory.locking import LockDenied, NackError
 from repro.obs.events import (
     ARAbort,
@@ -72,7 +77,7 @@ class CoreExecutor:
         "_fault_abort_reason", "fallback_read_held", "fallback_write_held",
         "locked_lines", "_lock_groups", "_lock_group_idx", "_lock_set_held",
         "finish_time", "trace", "attempt_begin_cycle", "first_lock_cycle",
-        "fallback_entry_cycle", "ledger", "monitor",
+        "fallback_entry_cycle", "ledger", "monitor", "body_step",
     )
 
     def __init__(self, core, machine, controller=None):
@@ -133,19 +138,28 @@ class CoreExecutor:
         self._lock_group_idx = 0
         self._lock_set_held = None
         self.finish_time = None
+        #: One AR body operation (see :func:`fused_body_step`).
+        self.body_step = fused_body_step(self)
 
     # ------------------------------------------------------------------
     # Engine interface
     # ------------------------------------------------------------------
 
     def step(self, now):
-        """Perform one bounded action; returns (kind, payload)."""
+        """Perform one bounded action; returns (kind, payload).
+
+        :meth:`repro.sim.machine.Machine.run` calls :attr:`body_step`
+        directly for BODY-phase cores; this is the full dispatch.
+        """
         # Dispatch ordered by observed frequency (BODY dominates every
         # workload, then the idle fetch and abort-retry transitions);
         # the phases are mutually exclusive so order is free to choose.
         phase = self.phase
         if phase == BODY:
-            return self._step_body()
+            result = self.body_step()
+            if result.__class__ is int:
+                return (STEP_DELAY, result)
+            return result
         if phase == IDLE:
             return self._step_idle(now)
         if phase == RETRY:
@@ -494,71 +508,97 @@ class CoreExecutor:
     # Body execution
     # ------------------------------------------------------------------
 
-    def _step_body(self):
-        if self.pending_abort is not None:
-            reason = self.pending_abort
-            self.pending_abort = None
-            if (
-                self.mode is ExecMode.SPECULATIVE
-                and self.discovery is not None
-                and reason is AbortReason.MEMORY_CONFLICT
-                and not self.discovery.exhausted
-                and self.config.failed_mode_discovery
-            ):
-                # Hold the abort: continue discovering in failed mode.
-                self.controller.note_conflict(self.discovery)
-                self.mode = ExecMode.FAILED_DISCOVERY
-            elif (
-                self.mode is ExecMode.SPECULATIVE
-                and self.discovery is not None
-                and reason is AbortReason.MEMORY_CONFLICT
-                and not self.config.failed_mode_discovery
-            ):
-                # Ablation: no failed mode — decide from whatever the
-                # partial discovery saw, then abort immediately.
-                decision = self.controller.conclude_failed_discovery(self.discovery)
-                self.saved_discovery = self.discovery
-                return self._abort_attempt(reason, decided_mode=decision.mode)
-            else:
-                return self._abort_attempt(reason)
-        self.attempt_ops += 1
-        if self.attempt_ops > MAX_OPS_PER_ATTEMPT:
-            return self._abort_attempt(AbortReason.OTHER)
-        if self._fault_abort_at is not None and self.attempt_ops >= self._fault_abort_at:
-            reason = self._fault_abort_reason
-            self._fault_abort_at = None
-            self._fault_abort_reason = None
-            self.machine.faults.note_injected(self.core, reason, self.attempt_index)
-            if self.trace is not None:
-                self.trace.emit(FaultInjected(
-                    self.machine.now, self.core, reason, self.attempt_index
-                ))
-            return self._abort_attempt(reason)
-        if self.config.speculation == "sle" and self.mode.is_speculative:
-            # In-core speculation (§4.1): the attempt lives inside the
-            # ROB/LQ/SQ window; exhausting it forces an abort and marks
-            # the region non-convertible.
-            overflow = None
-            if self.attempt_ops > self.config.rob_entries:
-                overflow = AbortReason.ROB_OVERFLOW
-            elif self.attempt_loads > self.config.lq_entries:
-                overflow = AbortReason.ROB_OVERFLOW
-            elif self.attempt_stores > self.config.sq_entries:
-                overflow = AbortReason.SQ_OVERFLOW
-            if overflow is not None:
-                if self.controller is not None:
-                    entry = self.controller.ert.ensure(self.invocation.region_id)
-                    entry.is_convertible = False
-                return self._abort_attempt(overflow)
-        try:
-            op = self.gen.send(self.gen_send_value)
-        except StopIteration:
-            return self._region_end()
-        self.gen_send_value = None
-        if isinstance(op, Load):
-            return self._exec_memory_op(op, is_store=False)
-        if isinstance(op, Store):
-            return self._exec_memory_op(op, is_store=True)
+    # The body step itself is the closure built by fused_body_step; the
+    # methods below are the cases it hands back to the executor.
+
+    def _take_pending_abort(self):
+        """Act on an abort a remote request or fallback sweep left pending.
+
+        Returns the abort's step result, or None when the abort is held
+        for failed-mode discovery and the step goes on to the next op.
+        """
+        reason = self.pending_abort
+        self.pending_abort = None
+        if (
+            self.mode is ExecMode.SPECULATIVE
+            and self.discovery is not None
+            and reason is AbortReason.MEMORY_CONFLICT
+            and not self.discovery.exhausted
+            and self.config.failed_mode_discovery
+        ):
+            # Hold the abort: continue discovering in failed mode.
+            self.controller.note_conflict(self.discovery)
+            self.mode = ExecMode.FAILED_DISCOVERY
+            return None
+        if (
+            self.mode is ExecMode.SPECULATIVE
+            and self.discovery is not None
+            and reason is AbortReason.MEMORY_CONFLICT
+            and not self.config.failed_mode_discovery
+        ):
+            # Ablation: no failed mode — decide from whatever the
+            # partial discovery saw, then abort immediately.
+            decision = self.controller.conclude_failed_discovery(self.discovery)
+            self.saved_discovery = self.discovery
+            return self._abort_attempt(reason, decided_mode=decision.mode)
+        return self._abort_attempt(reason)
+
+    def _fire_planned_fault(self):
+        """The attempt reached the op its injected abort was planned at."""
+        reason = self._fault_abort_reason
+        self._fault_abort_at = None
+        self._fault_abort_reason = None
+        self.machine.faults.note_injected(self.core, reason, self.attempt_index)
+        if self.trace is not None:
+            self.trace.emit(FaultInjected(
+                self.machine.now, self.core, reason, self.attempt_index
+            ))
+        return self._abort_attempt(reason)
+
+    def _check_sle_window(self):
+        """In-core speculation (§4.1): abort once the ROB/LQ/SQ overflows.
+
+        The attempt lives inside the ROB/LQ/SQ window; exhausting it
+        forces an abort and marks the region non-convertible. Returns
+        the abort's step result, or None while the attempt fits.
+        """
+        config = self.config
+        if self.attempt_ops > config.rob_entries:
+            overflow = AbortReason.ROB_OVERFLOW
+        elif self.attempt_loads > config.lq_entries:
+            overflow = AbortReason.ROB_OVERFLOW
+        elif self.attempt_stores > config.sq_entries:
+            overflow = AbortReason.SQ_OVERFLOW
+        else:
+            return None
+        if self.controller is not None:
+            entry = self.controller.ert.ensure(self.invocation.region_id)
+            entry.is_convertible = False
+        return self._abort_attempt(overflow)
+
+    def _capacity_abort(self, exc):
+        """The attempt's tracking sets overflowed (``CapacityExceeded``)."""
+        if self.discovery is not None:
+            entry = self.controller.ert.ensure(self.invocation.region_id)
+            entry.is_convertible = False
+        return self._abort_attempt(
+            self.design.classify_capacity_abort(executor=self, exc=exc),
+            line=exc.line,
+        )
+
+    def _exec_other_op(self, op):
+        """Body ops outside the fused step's exact-class dispatch."""
+        if isinstance(op, AbortOp):
+            if self.mode is ExecMode.FALLBACK:
+                # The fallback path is not a transaction: an XAbort there
+                # simply ends the region (its direct stores are already
+                # architectural). This keeps always-aborting regions from
+                # cycling forever between fallback and retry.
+                return self._commit(via_abort=True)
+            return self._abort_attempt(AbortReason.EXPLICIT)
+        # Subclasses of the fused op classes.
+        if isinstance(op, (Load, Store)):
+            return self._exec_memory_op(op, is_store=isinstance(op, Store))
         if isinstance(op, Compute):
             if self.discovery is not None:
                 self.discovery.on_compute(op.ops)
@@ -569,19 +609,14 @@ class CoreExecutor:
                 self.discovery.on_branch(op.condition_tainted)
             self.machine.stats.record_branch()
             return self._busy(1)
-        if isinstance(op, AbortOp):
-            if self.mode is ExecMode.FALLBACK:
-                # The fallback path is not a transaction: an XAbort there
-                # simply ends the region (its direct stores are already
-                # architectural). This keeps always-aborting regions from
-                # cycling forever between fallback and retry.
-                return self._commit(via_abort=True)
-            return self._abort_attempt(AbortReason.EXPLICIT)
         raise TypeError("AR body yielded unknown op {!r}".format(op))
 
     def _exec_memory_op(self, op, is_store):
-        # Hot path: runs once per memory operation. Everything touched
-        # more than once is bound to a local up front.
+        # The general memory-op path, for every case the fused body step
+        # hands back: CL modes, failed discovery, bounded (lrw) tracking
+        # sets, and fallback under the online monitor or beside held
+        # line locks. Everything touched more than once is bound to a
+        # local up front.
         machine = self.machine
         memsys = machine.memsys
         mode = self.mode
@@ -668,13 +703,7 @@ class CoreExecutor:
                 else:
                     rwsets.record_read(line)
             except CapacityExceeded as exc:
-                if discovery is not None:
-                    entry = self.controller.ert.ensure(self.invocation.region_id)
-                    entry.is_convertible = False
-                return self._abort_attempt(
-                    self.design.classify_capacity_abort(executor=self, exc=exc),
-                    line=exc.line,
-                )
+                return self._capacity_abort(exc)
 
         # Discovery footprint and indirection tracking.
         failed = mode is ExecMode.FAILED_DISCOVERY
@@ -978,3 +1007,315 @@ class CoreExecutor:
             lock_acquire=lock_acquire,
         )
         return (STEP_DELAY, cycles)
+
+
+def fused_body_step(ex):
+    """Build ``ex``'s BODY step: one AR body operation per call.
+
+    The closure binds every structure the common operations touch, so
+    an operation costs a few calls instead of the ~40-call walk through
+    the executor, memory system, tracking sets and stats. Plain
+    speculative HTM operations (cache-geometry
+    :class:`~repro.htm.rwset.ReadWriteSets` in the sharer index) and
+    plain fallback operations run inline: lock-table
+    gate, private-hit classification with its directory and LRU
+    updates, set tracking, discovery and data movement. Every
+    speculative request still arbitrates through
+    :meth:`Machine.resolve_conflict`, the seam the conflict
+    cross-check and test-planted arbiter faults hook, and misses go
+    through :meth:`MemorySystem.access`. Every other case — CL modes,
+    failed discovery, bounded ``lrw`` sets, fallback under the online
+    monitor or beside held line locks, pending and planned aborts —
+    runs the executor's general methods, so the step's results are
+    bit-identical to running those methods on every operation.
+
+    The step returns the delay in cycles (a plain int, the common
+    outcome) for an operation performed inline, else the ``(kind,
+    payload)`` step result. An inline operation never parks a core and
+    never releases a lock.
+    """
+    machine = ex.machine
+    core = ex.core
+    executors = machine.executors
+    stats = machine.stats
+    core_stats = stats.cores[core]
+    accesses = stats.accesses_by_level
+    compute_ops = stats._compute_ops
+    branch_ops = stats._branch_ops
+    memsys = machine.memsys
+    mem_access = memsys.access
+    l1 = memsys.l1[core]
+    l1_sets, l1_nsets = l1._sets, l1.num_sets
+    l2 = memsys.l2[core]
+    l2_sets, l2_nsets, l2_install = l2._sets, l2.num_sets, l2.install
+    l3 = memsys.l3
+    l3_sets, l3_nsets, l3_install = l3._sets, l3.num_sets, l3.install
+    l1_latency = memsys.l1_latency
+    drop_private = memsys._drop_private_line
+    lock_holders = memsys.locks._holders
+    directory_entries = memsys.directory._entries
+    sharer_index = machine.sharer_index
+    sharer_lines = sharer_index._lines
+    memory = machine.memory
+    mem_words = memory._words
+    monitor = machine.monitor
+    faults = machine.faults
+    sle = machine.config.speculation == "sle"
+    speculative = ExecMode.SPECULATIVE
+    fallback_mode = ExecMode.FALLBACK
+    new_tainted = TaintedValue.__new__
+
+    def body_step():
+        if ex.pending_abort is not None:
+            result = ex._take_pending_abort()
+            if result is not None:
+                return result
+        attempt_ops = ex.attempt_ops + 1
+        ex.attempt_ops = attempt_ops
+        if attempt_ops > MAX_OPS_PER_ATTEMPT:
+            return ex._abort_attempt(AbortReason.OTHER)
+        fault_at = ex._fault_abort_at
+        if fault_at is not None and attempt_ops >= fault_at:
+            return ex._fire_planned_fault()
+        if sle and ex.mode.is_speculative:
+            result = ex._check_sle_window()
+            if result is not None:
+                return result
+        try:
+            op = ex.gen.send(ex.gen_send_value)
+        except StopIteration:
+            return ex._region_end()
+        ex.gen_send_value = None
+        cls = op.__class__
+        if cls is Load or cls is Store:
+            is_store = cls is Store
+            rwsets = ex.rwsets
+            mode = ex.mode
+            if (
+                mode is speculative
+                and rwsets.__class__ is ReadWriteSets
+                and rwsets._index is sharer_index
+            ):
+                spec = True
+            elif mode is fallback_mode and monitor is None and not lock_holders:
+                # Fallback runs under mutual exclusion with direct
+                # stores: no lock gate (the table is empty), no
+                # arbitration, no tracking sets. Under the monitor its
+                # eager load/store hooks live on the general path.
+                spec = False
+            else:
+                return ex._exec_memory_op(op, is_store=is_store)
+            addr = op.addr
+            addr_is_tainted = addr.__class__ is TaintedValue
+            word_addr = addr.value if addr_is_tainted else int(addr)
+            line = word_addr // WORDS_PER_LINE
+            if is_store:
+                ex.attempt_stores += 1
+            else:
+                ex.attempt_loads += 1
+
+            if spec:
+                # Cacheline lock gate: a speculative attempt holds no
+                # locks itself and is always nackable.
+                if lock_holders:
+                    holder = lock_holders.get(line)
+                    if holder is not None and holder != core:
+                        return ex._abort_attempt(
+                            AbortReason.NACKED, line=line, enemy=holder
+                        )
+                resolution = machine.resolve_conflict(core, line, is_store)
+                reason = resolution.requester_abort_reason
+                if reason is not None:
+                    return ex._abort_attempt(
+                        reason, line=line, enemy=resolution.nacking_core,
+                    )
+                for victim in resolution.victims:
+                    executors[victim].receive_remote_conflict(
+                        line, is_store, core
+                    )
+
+            # Private L1 hits are classified here, with the directory
+            # transition and the LRU refresh of MemorySystem._fill;
+            # everything else (misses, upgrades, invalidation rounds,
+            # cache-to-cache transfers) goes through the memory system.
+            l1_entries = l1_sets[line % l1_nsets]
+            hit = False
+            if line in l1_entries:
+                entry = directory_entries.get(line)
+                if not is_store:
+                    # A read hit is an L1 hit whatever the directory
+                    # says; only Directory.record_read's update remains.
+                    if entry is None:
+                        entry = DirectoryEntry()
+                        directory_entries[line] = entry
+                    else:
+                        owner = entry.owner
+                        if owner is not None and owner != core:
+                            entry.sharers.add(owner)
+                            entry.owner = None
+                    entry.sharers.add(core)
+                    hit = True
+                elif entry is not None:
+                    owner = entry.owner
+                    holders = entry.sharers
+                    if (owner == core and not holders) or (
+                        owner is None and len(holders) == 1
+                        and core in holders
+                    ):
+                        # Private re-write: nobody to invalidate.
+                        if holders:
+                            holders.clear()
+                        entry.owner = core
+                        hit = True
+            if hit:
+                latency = l1_latency
+                accesses["L1"] += 1
+                lru = l3_sets[line % l3_nsets]
+                if line in lru:
+                    lru.move_to_end(line)
+                else:
+                    l3_install(line)
+                lru = l2_sets[line % l2_nsets]
+                if line in lru:
+                    lru.move_to_end(line)
+                else:
+                    evicted = l2_install(line)
+                    if evicted is not None:
+                        drop_private(core, evicted)
+                l1_entries.move_to_end(line)
+            else:
+                result = mem_access(core, line, is_store)
+                accesses[result.level] += 1
+                latency = result.latency
+            if faults is not None:
+                latency += faults.jitter(core)
+
+            if not spec:
+                # Fallback data movement: straight to memory.
+                if is_store:
+                    value = op.value
+                    memory.store_count += 1
+                    mem_words[word_addr] = (
+                        value.value if value.__class__ is TaintedValue
+                        else int(value)
+                    )
+                else:
+                    memory.load_count += 1
+                    loaded = new_tainted(TaintedValue)
+                    loaded.value = mem_words.get(word_addr, 0)
+                    loaded.tainted = True
+                    ex.gen_send_value = loaded
+                core_stats.busy_cycles += latency
+                return latency
+
+            # ReadWriteSets.record_write/record_read, with the sharer
+            # index and monitor registration written out. Like them, an
+            # overflow aborts after the line is tracked.
+            if is_store:
+                write_set = rwsets.write_set
+                if line not in write_set:
+                    write_set.add(line)
+                    entry = sharer_lines.get(line)
+                    if entry is None:
+                        entry = sharer_lines[line] = LineSharers()
+                    entry.writers.add(core)
+                    l2_geometry = rwsets._l2_sets
+                    if l2_geometry is not None and line not in rwsets.read_set:
+                        counts = rwsets._union_counts
+                        idx = line % l2_geometry
+                        count = counts.get(idx, 0) + 1
+                        counts[idx] = count
+                        if count == rwsets._l2_assoc + 1:
+                            rwsets._union_over += 1
+                    l1_geometry = rwsets._l1_sets
+                    if l1_geometry is not None:
+                        counts = rwsets._write_counts
+                        idx = line % l1_geometry
+                        count = counts.get(idx, 0) + 1
+                        counts[idx] = count
+                        if count == rwsets._l1_assoc + 1:
+                            rwsets._write_over += 1
+                        if rwsets._write_over:
+                            return ex._capacity_abort(
+                                CapacityExceeded("write", line)
+                            )
+            else:
+                read_set = rwsets.read_set
+                if line not in read_set:
+                    read_set.add(line)
+                    entry = sharer_lines.get(line)
+                    if entry is None:
+                        entry = sharer_lines[line] = LineSharers()
+                    entry.readers.add(core)
+                    epochs = rwsets._monitor_epochs
+                    if epochs is not None:
+                        rwsets.monitor_reads[line] = epochs.get(line, 0)
+                    l2_geometry = rwsets._l2_sets
+                    if l2_geometry is not None:
+                        if line not in rwsets.write_set:
+                            counts = rwsets._union_counts
+                            idx = line % l2_geometry
+                            count = counts.get(idx, 0) + 1
+                            counts[idx] = count
+                            if count == rwsets._l2_assoc + 1:
+                                rwsets._union_over += 1
+                        if rwsets._union_over:
+                            return ex._capacity_abort(
+                                CapacityExceeded("read", line)
+                            )
+
+            # Discovery footprint tracking (CLEAR designs). The mode is
+            # SPECULATIVE, so failed discovery cannot run out here.
+            discovery = ex.discovery
+            if discovery is not None:
+                tainted = addr_is_tainted and addr.tainted
+                if is_store:
+                    discovery.on_store(line, tainted)
+                else:
+                    discovery.on_load(line, tainted)
+
+            # Speculative data movement: stores buffer, loads forward.
+            if is_store:
+                value = op.value
+                rwsets._write_buffer[word_addr] = (
+                    value.value if value.__class__ is TaintedValue
+                    else int(value)
+                )
+            else:
+                buffered = rwsets._write_buffer
+                value = buffered.get(word_addr) if buffered else None
+                if value is None:
+                    memory.load_count += 1
+                    value = mem_words.get(word_addr, 0)
+                # TaintedValue(value, tainted=True) without the
+                # constructor's coercions: buffered and architectural
+                # words are always plain ints.
+                loaded = new_tainted(TaintedValue)
+                loaded.value = value
+                loaded.tainted = True
+                ex.gen_send_value = loaded
+            core_stats.busy_cycles += latency
+            return latency
+        if cls is Compute:
+            discovery = ex.discovery
+            if discovery is not None:
+                discovery.on_compute(op.ops)
+            compute_ops.value += op.ops
+            cycles = op.cycles
+            if cycles < 1:
+                cycles = 1
+            core_stats.busy_cycles += cycles
+            return cycles
+        if cls is Branch:
+            discovery = ex.discovery
+            if discovery is not None:
+                condition = op.condition
+                discovery.on_branch(
+                    condition.__class__ is TaintedValue and condition.tainted
+                )
+            branch_ops.value += 1
+            core_stats.busy_cycles += 1
+            return 1
+        return ex._exec_other_op(op)
+
+    return body_step

@@ -53,20 +53,12 @@ STATUS_FAILED = "failed"
 
 
 def spec_summary(spec):
-    """The manifest's human-readable description of one cell.
-
-    ``backend`` is journalled explicitly (not just folded into the
-    config fingerprint) so :meth:`SweepJournal.ensure` can refuse to
-    resume a sweep with a different event loop — without it, a resumed
-    ``--backend`` mismatch would silently fingerprint every cell as new
-    and re-run the whole sweep inside the old job folder.
-    """
+    """The manifest's human-readable description of one cell."""
     return {
         "workload": spec.workload,
         "seed": spec.seed,
         "ops_per_thread": spec.ops_per_thread,
         "trace": spec.trace,
-        "backend": spec.config.backend,
         "config": spec.config.fingerprint(),
     }
 
@@ -138,27 +130,6 @@ class SweepJournal:
                     )
                 )
             known = manifest.setdefault("cells", {})
-            # Backend mixing guard: a resumed sweep must run the same
-            # event loop it started with. Manifests predating the
-            # backend field journalled reference-loop cells only.
-            known_backends = {
-                cell.get("backend", "reference") for cell in known.values()
-            }
-            incoming_backends = {
-                cell.get("backend", "reference") for cell in cells.values()
-            }
-            mixed = incoming_backends - known_backends
-            if known_backends and mixed:
-                raise JournalSchemaError(
-                    "job folder {} journals {}-backend cells; resuming "
-                    "with backend {} would silently mix event loops — "
-                    "pass the original --backend or start a fresh job "
-                    "folder".format(
-                        self.path,
-                        "/".join(sorted(known_backends)),
-                        "/".join(sorted(mixed)),
-                    )
-                )
             new = {key: cells[key] for key in cells if key not in known}
             if new:
                 known.update(new)

@@ -21,7 +21,7 @@ from repro.common.errors import (
 )
 from repro.common.rng import DeterministicRng
 from repro.core.modes import ExecMode
-from repro.htm.arbiter import ConflictArbiter
+from repro.htm.arbiter import NO_CONFLICT, ConflictArbiter
 from repro.htm.powertm import PowerToken
 from repro.htm.sharer_index import SharerIndex
 from repro.memory.address import line_of_word
@@ -36,6 +36,8 @@ from repro.obs.events import (
     Wakeup,
 )
 from repro.sim.executor import (
+    BEGIN_WAIT,
+    BODY,
     STEP_BLOCK,
     STEP_DELAY,
     STEP_DONE,
@@ -127,7 +129,7 @@ class Machine:
         # conflict-visible attempt, so conflict checks probe the actual
         # sharers instead of scanning all cores (see htm/sharer_index).
         self.sharer_index = SharerIndex()
-        self._sharer_get = self.sharer_index.get
+        self._sharer_get = self.sharer_index._lines.get
         self._debug_conflict_check = config.debug_conflict_check
         self.conflict_cross_checks = 0
         self.stats = MachineStats(config.num_cores)
@@ -215,9 +217,13 @@ class Machine:
         :meth:`peer_views` (which stays as the oracle path — enable
         ``debug_conflict_check`` to cross-validate every resolution).
         """
+        sharers = self._sharer_get(line)
+        if sharers is None and not self._debug_conflict_check:
+            # A line no attempt tracks: the common case, and what
+            # resolve_line would answer too.
+            return NO_CONFLICT
         resolution = self.arbiter.resolve_line(
-            core, line, is_write, requester_failed,
-            self._sharer_get(line),
+            core, line, is_write, requester_failed, sharers,
             power_core=self.power.holder,
             requester_unstoppable=requester_unstoppable,
         )
@@ -307,9 +313,7 @@ class Machine:
         validate_interval = oracle.validate_interval if oracle is not None else 0
         # Hot loop: bind everything touched per pop to locals.
         executors = self.executors
-        # One bound method per core, fetched by index: saves an
-        # attribute lookup + method bind on every pop.
-        step_for = [executor.step for executor in executors]
+        fallback_write_held = self.fallback.is_write_held
         stats = self.stats
         scheduler = self.scheduler
         max_cycles = config.max_cycles
@@ -373,7 +377,28 @@ class Machine:
                         diagnostic=self.diagnostic_dump(now, parked),
                         stats=stats,
                     )
-            kind, payload = step_for[core](now)
+            executor = executors[core]
+            phase = executor.phase
+            if phase == BODY:
+                # The fused body step, called without the step()
+                # dispatch. An int is the delay of an operation it
+                # performed inline, which neither parks the core nor
+                # releases anything, so the release check is skipped.
+                result = executor.body_step()
+                if result.__class__ is int:
+                    heappush(heap, (now + (result if result > 1 else 1), core))
+                    continue
+                kind, payload = result
+            elif phase == BEGIN_WAIT and fallback_write_held():
+                # A speculative begin still blocked by the fallback
+                # writer parks again: the dominant event under fallback
+                # serialization, since every release wakes all waiters.
+                parked[core] = now
+                if trace is not None:
+                    trace.emit(Park(now, core, "fallback"))
+                continue
+            else:
+                kind, payload = executor.step(now)
             if kind == STEP_DELAY:
                 heappush(heap, (now + (payload if payload > 1 else 1), core))
             elif kind == STEP_BLOCK:
@@ -487,19 +512,6 @@ class Machine:
 
 def build_machine(config, workload, seed=1, trace=None, scheduler=None,
                   retry_ledger=None):
-    """Construct the machine class selected by ``config.backend``.
-
-    ``"reference"`` builds the :class:`Machine` above (the semantic
-    oracle); ``"batch"`` builds :class:`repro.sim.batch.BatchMachine`,
-    a bit-identical calendar-queue backend that degrades to the
-    reference loop whenever a per-event hook is armed. The import is
-    lazy because the batch backend subclasses :class:`Machine`.
-    """
-    if config.backend == "batch":
-        from repro.sim.batch import BatchMachine
-
-        cls = BatchMachine
-    else:
-        cls = Machine
-    return cls(config, workload, seed, trace=trace, scheduler=scheduler,
-               retry_ledger=retry_ledger)
+    """Construct the :class:`Machine` for one run (the construction seam)."""
+    return Machine(config, workload, seed, trace=trace, scheduler=scheduler,
+                   retry_ledger=retry_ledger)

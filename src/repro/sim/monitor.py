@@ -56,13 +56,12 @@ Non-speculative paths:
   value map and its stores are applied to it as they are issued; the
   lines touched get their epoch bump when the region ends.
 
-Event loops: the monitor deliberately has *no per-pop hook* — commit
-hooks, first-access recording, and the end-of-run sweep only — so
-``backend="batch"`` keeps its fused fast path (the first-read epoch
-store is inlined there) instead of degrading to the reference loop the
-way the per-pop-sampling shadow oracle does. The periodic
-``validate_machine`` sampling stays a shadow/cross-check feature for
-exactly that reason.
+Event loop: the monitor deliberately has *no per-pop hook* — commit
+hooks, first-access recording, and the end-of-run sweep only — so an
+armed monitor costs the event loop nothing per operation (the fused
+body step of :mod:`repro.sim.executor` writes the first-read epoch
+inline). The periodic ``validate_machine`` sampling stays a
+shadow/cross-check feature for exactly that reason.
 
 ``oracle="cross-check"`` arms both checkers: the monitor defers its
 commit-time verdicts, both finalize, and
@@ -101,8 +100,8 @@ class OnlineMonitor:
         #: Global commit clock; epoch N belongs to the N-th commit.
         self.clock = 0
         #: line -> commit epoch of the last committed write (0 = never
-        #: written by a committed AR). Shared by reference (via the
-        #: rwsets hook) and batch (inlined) first-read recording.
+        #: written by a committed AR). Read by first-read recording,
+        #: both the rwsets hook and the fused body step's inline copy.
         self.line_epochs = {}
         #: word -> value as of the committed prefix (plus pokes and
         #: fallback stores); diffed against memory at finalize.

@@ -72,6 +72,18 @@ class TestSchemaBump:
         assert report.cache_hits == 0
         assert report.results[0] is not None
 
+    def test_backend_removal_bumped_the_schema(self):
+        # Dropping SimConfig.backend changed every config fingerprint;
+        # the v5 bump keeps v4 entries from ever mixing with new ones.
+        assert SCHEMA_VERSION >= 5
+
+    def test_v4_result_dict_with_backend_deserializes(self):
+        data = make_run_result_dict()
+        data["config"]["backend"] = "batch"
+        result = RunResult.from_dict(data)
+        assert result.config == SimConfig.for_design("baseline", num_cores=4)
+        assert result.stats.total_commits > 0
+
     def test_stored_payload_stamped_with_version(self, tmp_path):
         engine = ExperimentEngine(jobs=1, cache_dir=str(tmp_path))
         engine.run_specs([make_spec()])

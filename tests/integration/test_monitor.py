@@ -1,8 +1,7 @@
 """Integration tests for the online serializability monitor.
 
 The monitor (``oracle="online"``) must stay silent on correct
-executions, change no simulated results, keep the batch backend on its
-fused fast path (no reference-loop degradation), and catch the same
+executions, change no simulated results, and catch the same
 planted violations the shadow oracle catches — plus commit-time stale
 reads from a broken arbiter, which it flags *at the violating commit*
 rather than at end of run. ``oracle="cross-check"`` runs both checkers
@@ -14,9 +13,8 @@ import pytest
 from repro.common.errors import OracleDivergence, OracleViolation
 from repro.htm.arbiter import NO_CONFLICT
 from repro.htm.design import DESIGN_REGISTRY
-from repro.sim.batch import BatchMachine
 from repro.sim.config import SimConfig
-from repro.sim.machine import Machine, build_machine
+from repro.sim.machine import Machine
 from repro.workloads import ALL_NAMES, make_workload
 
 
@@ -84,69 +82,6 @@ class TestMonitorPasses:
         )
         stats = machine.run()
         assert stats.total_commits > 0
-
-
-class TestBatchBackendComposition:
-    """``backend="batch"`` + online monitoring stays on the fused path."""
-
-    def batch_config(self, **overrides):
-        return monitor_config(backend="batch", num_cores=8, **overrides)
-
-    def test_online_monitor_does_not_degrade_batch(self):
-        machine = build_machine(
-            self.batch_config(), make_workload("genome", ops_per_thread=8),
-            seed=1,
-        )
-        assert isinstance(machine, BatchMachine)
-        assert not machine._needs_reference_loop()
-
-    def test_shadow_oracle_still_degrades_batch(self):
-        # Pins the PR 8 hook-degradation rule: the shadow oracle's
-        # per-pop sampling forces the reference loop; the monitor
-        # (commit hooks only) must not.
-        machine = build_machine(
-            self.batch_config(oracle="shadow"),
-            make_workload("genome", ops_per_thread=8), seed=1,
-        )
-        assert machine._needs_reference_loop()
-
-    @pytest.mark.parametrize("workload", ["hashmap", "genome", "mwobject"])
-    def test_batch_monitored_stats_bit_identical(self, workload):
-        batch = build_machine(
-            self.batch_config(), make_workload(workload, ops_per_thread=8),
-            seed=1,
-        )
-        batch_stats = batch.run()
-        reference = Machine(
-            monitor_config(num_cores=8),
-            make_workload(workload, ops_per_thread=8), seed=1,
-        )
-        assert batch_stats.to_dict() == reference.run().to_dict()
-        assert batch.monitor.reads_checked == reference.monitor.reads_checked
-
-    def test_batch_monitor_catches_tampering(self):
-        machine = build_machine(
-            self.batch_config(), make_workload("hashmap", ops_per_thread=6),
-            seed=3,
-        )
-        machine.memory.store(10_000_000, 42)
-        with pytest.raises(OracleViolation):
-            machine.run()
-
-    def test_batch_fallback_heavy_run_checked(self):
-        # Fused fallback execution is disabled while the monitor is
-        # armed (the hooks live on the reference op path); results must
-        # still match the reference loop exactly.
-        batch = build_machine(
-            self.batch_config(retry_threshold=1),
-            make_workload("mwobject", ops_per_thread=8), seed=1,
-        )
-        batch_stats = batch.run()
-        reference = Machine(
-            monitor_config(num_cores=8, retry_threshold=1),
-            make_workload("mwobject", ops_per_thread=8), seed=1,
-        )
-        assert batch_stats.to_dict() == reference.run().to_dict()
 
 
 class TestMonitorCatches:

@@ -7,8 +7,8 @@ promises the ``gen:`` namespace makes:
 - re-running a (spec, seed) cell from a fresh workload instance yields
   byte-identical stats and final memory — the generator carries no
   hidden process state;
-- the reference heap loop and the batched calendar-queue loop are
-  indistinguishable on generated kernels, exactly as they are on the
+- arming an observer (trace, scheduler, retry ledger, online monitor)
+  changes nothing about a generated kernel's run, exactly as on the
   built-ins;
 - the canonical spec string and the registered fingerprint resolve to
   the same behaviour, so cache keys built from either are equivalent.
@@ -27,6 +27,7 @@ from repro.sim.config import SimConfig
 from repro.sim.machine import build_machine
 from repro.workloads import make_workload
 from repro.workloads.gen import MUTABILITY_CLASSES, GenSpec, register_spec
+from tests.property.test_prop_observation import assert_observation_neutral
 
 
 def run_digest(config, workload_name, ops_per_thread, seed):
@@ -77,16 +78,10 @@ def test_same_spec_and_seed_is_byte_identical(spec, design, seed, num_cores):
     num_cores=st.integers(min_value=2, max_value=8),
 )
 @settings(max_examples=25, deadline=None)
-def test_backends_indistinguishable_on_generated(spec, design, seed,
-                                                 num_cores):
-    name = "gen:" + spec.canonical()
-    digests = {}
-    for backend in ("reference", "batch"):
-        config = SimConfig.for_design(
-            design, num_cores=num_cores, backend=backend
-        )
-        digests[backend] = run_digest(config, name, 4, seed)
-    assert digests["batch"] == digests["reference"]
+def test_observers_are_observation_neutral_on_generated(spec, design, seed,
+                                                        num_cores):
+    config = SimConfig.for_design(design, num_cores=num_cores)
+    assert_observation_neutral(config, "gen:" + spec.canonical(), 4, seed)
 
 
 @given(

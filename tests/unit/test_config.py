@@ -280,3 +280,17 @@ class TestDictMigration:
         data["mystery"] = 1
         with pytest.raises(ConfigurationError):
             SimConfig.from_dict(data)
+
+    @pytest.mark.parametrize("backend", ["reference", "batch"])
+    def test_legacy_backend_key_dropped(self, backend):
+        # v4 payloads named one of two bit-identical event loops; one
+        # loop remains, so either value maps to the same config.
+        config = SimConfig.for_design("clear", num_cores=4)
+        data = config.to_dict()
+        assert "backend" not in data
+        data["backend"] = backend
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            migrated = SimConfig.from_dict(data)
+        assert migrated == config
+        assert migrated.fingerprint() == config.fingerprint()

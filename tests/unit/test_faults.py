@@ -14,6 +14,8 @@ from repro.htm.abort import (
 )
 from repro.sim.config import SimConfig
 from repro.sim.faults import INJECT_WINDOW_OPS, FaultPlan
+from repro.sim.machine import Machine
+from repro.workloads import make_workload
 
 
 def chaos_config(**overrides):
@@ -155,3 +157,34 @@ class TestAbortTaxonomy:
     def test_injected_reasons_are_non_memory(self):
         # S-CL treats them like interrupts: stop retrying CL (§4.4.2).
         assert INJECTED_REASONS <= NON_MEMORY_REASONS
+
+
+class TestJitterOnFusedOps:
+    """Jitter reaches the memory ops the fused body step performs."""
+
+    def run_single_core(self, jitter_cycles):
+        # One core never conflicts, aborts or falls back, so every
+        # memory op is a plain speculative one: the fused step's case.
+        config = SimConfig.for_design(
+            "baseline", num_cores=1, fault_jitter_cycles=jitter_cycles
+        )
+        machine = Machine(
+            config, make_workload("hashmap", ops_per_thread=8), seed=5
+        )
+        stats = machine.run()
+        assert stats.total_aborts == 0
+        return machine, stats
+
+    def test_jitter_lands_on_fused_speculative_ops(self):
+        _, plain = self.run_single_core(0)
+        machine, jittered = self.run_single_core(6)
+        assert machine.faults.jitter_events > 0
+        assert jittered.cores[0].busy_cycles == (
+            plain.cores[0].busy_cycles + machine.faults.jitter_cycles_total
+        )
+
+    def test_same_seed_same_jittered_run(self):
+        first_machine, first = self.run_single_core(6)
+        second_machine, second = self.run_single_core(6)
+        assert second.to_dict() == first.to_dict()
+        assert second_machine.event_count == first_machine.event_count

@@ -220,50 +220,18 @@ class TestRecordReplay:
         }
 
 
-class TestBackendGuard:
-    """A resumed sweep must run the event loop it started with."""
-
-    def batch_spec(self, **overrides):
-        return tiny_spec(
-            config=SimConfig.for_design(
-                "baseline", num_cores=2, backend="batch"
-            ),
-            **overrides,
-        )
-
-    def test_spec_summary_journals_backend(self):
-        assert spec_summary(tiny_spec())["backend"] == "reference"
-        assert spec_summary(self.batch_spec())["backend"] == "batch"
-
-    def test_resume_with_other_backend_refused(self, tmp_path):
+class TestLegacyManifest:
+    def test_backend_manifest_parses_then_schema_refused(self, tmp_path):
+        # A job folder written before the event-loop knob was removed:
+        # schema_version 4, every cell summary carrying "backend". It
+        # still parses, and the schema check refuses to replay it.
         journal = SweepJournal(tmp_path / "job")
-        journal.ensure([tiny_spec()], SCHEMA_VERSION)
-        with pytest.raises(JournalSchemaError, match="mix event loops"):
-            SweepJournal(journal.path).ensure(
-                [self.batch_spec()], SCHEMA_VERSION
-            )
-
-    def test_resume_with_same_backend_accepted(self, tmp_path):
-        journal = SweepJournal(tmp_path / "job")
-        journal.ensure([self.batch_spec()], SCHEMA_VERSION)
-        resumed = SweepJournal(journal.path)
-        resumed.ensure([self.batch_spec(), self.batch_spec(seed=2)],
-                       SCHEMA_VERSION)
-        assert len(resumed.manifest["cells"]) == 2
-
-    def test_legacy_manifest_means_reference(self, tmp_path):
-        # Manifests written before the backend field journalled
-        # reference-loop cells only: resuming them with the reference
-        # backend works, with the batch backend refuses.
-        journal = SweepJournal(tmp_path / "job")
-        journal.ensure([tiny_spec()], SCHEMA_VERSION)
+        journal.ensure([tiny_spec()], 4)
         manifest = json.loads(open(journal.manifest_path).read())
         for cell in manifest["cells"].values():
-            del cell["backend"]
+            cell["backend"] = "batch"
         with open(journal.manifest_path, "w") as handle:
             json.dump(manifest, handle)
-        SweepJournal(journal.path).ensure([tiny_spec(seed=2)], SCHEMA_VERSION)
-        with pytest.raises(JournalSchemaError, match="mix event loops"):
-            SweepJournal(journal.path).ensure(
-                [self.batch_spec(seed=3)], SCHEMA_VERSION
-            )
+        assert "backend" not in spec_summary(tiny_spec())
+        with pytest.raises(JournalSchemaError, match="schema_version 4"):
+            SweepJournal(journal.path).ensure([tiny_spec()], SCHEMA_VERSION)
