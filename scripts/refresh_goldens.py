@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Regenerate the committed golden files, with a diff summary first.
 
-The test suite pins two goldens:
+The test suite pins these goldens:
 
 - ``tests/goldens/figures_micro.json`` — the figure payload of the full
   micro experiment matrix (all benchmarks x B/P/C/W at 4 cores).
@@ -13,8 +13,12 @@ The test suite pins two goldens:
   serializability monitor armed, digests pinned per cell. The corpus
   folders themselves are fixed committed inputs; only the result
   digests are recomputed here.
+- ``tests/goldens/clear_modes.json`` — CLEAR's post-conflict modes
+  (failed discovery, S-CL, NS-CL, fallback) on the ``clear-locked``
+  kernels plus one ``lrw`` and one online-monitor cell; the cells are
+  defined in ``tests/integration/test_clear_modes_golden.py``.
 
-Both must only ever change when simulated behaviour *intentionally*
+They must only ever change when simulated behaviour *intentionally*
 changes. This script recomputes each golden, prints a summary of what
 would change, and only overwrites with ``--apply`` — so an accidental
 behaviour change reads as a scary diff instead of a silently rewritten
@@ -119,6 +123,13 @@ def compute_corpus():
     }
 
 
+def compute_clear_modes():
+    sys.path.insert(0, REPO)
+    from tests.integration.test_clear_modes_golden import compute_golden
+
+    return compute_golden()
+
+
 def load(path):
     with open(path) as handle:
         return json.load(handle)
@@ -154,8 +165,8 @@ def main(argv=None):
         help="overwrite the goldens (default: dry run, diff summary only)",
     )
     parser.add_argument(
-        "--only", choices=("figures", "trace", "corpus"), default=None,
-        help="refresh just one golden",
+        "--only", choices=("figures", "trace", "corpus", "clear_modes"),
+        default=None, help="refresh just one golden",
     )
     args = parser.parse_args(argv)
 
@@ -166,6 +177,8 @@ def main(argv=None):
         targets.append(("trace_micro.json", compute_trace))
     if args.only in (None, "corpus"):
         targets.append(("corpus_micro.json", compute_corpus))
+    if args.only in (None, "clear_modes"):
+        targets.append(("clear_modes.json", compute_clear_modes))
 
     any_changed = False
     for name, compute in targets:

@@ -73,7 +73,7 @@ class MemorySystem:
         """Perform a performance-model access and return its cost.
 
         Callers gate accesses against the lock table *before* calling
-        this (see :meth:`repro.memory.locking.LockManager.check_access`);
+        this (the executor's fused body step checks the line's holder);
         the memory system assumes the access is allowed to proceed.
         """
         if is_write:

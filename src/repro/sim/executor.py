@@ -18,7 +18,8 @@ The executor is driven by :class:`repro.sim.machine.Machine` via
 :meth:`step`, which performs one bounded action and reports either a
 cycle cost or a blocking condition. The dominant action, one operation
 of an AR body, is the fused closure :func:`fused_body_step` builds for
-each executor; the event loop calls it directly.
+each executor; the event loop calls it directly. It is the only path a
+Load or Store takes, whatever the attempt's mode.
 """
 
 from repro.common.constants import WORDS_PER_LINE
@@ -27,7 +28,6 @@ from repro.htm.abort import AbortReason, counts_toward_retry_limit, NON_MEMORY_R
 from repro.htm.arbiter import TxPeerView
 from repro.htm.rwset import CapacityExceeded, ReadWriteSets
 from repro.htm.sharer_index import LineSharers
-from repro.memory.address import line_of_word
 from repro.memory.directory import DirectoryEntry
 from repro.memory.locking import LockDenied, NackError
 from repro.obs.events import (
@@ -576,9 +576,14 @@ class CoreExecutor:
             entry.is_convertible = False
         return self._abort_attempt(overflow)
 
-    def _capacity_abort(self, exc):
-        """The attempt's tracking sets overflowed (``CapacityExceeded``)."""
-        if self.discovery is not None:
+    def _capacity_abort(self, exc, keep_ert=False):
+        """The attempt's tracking sets overflowed (``CapacityExceeded``).
+
+        A discovering attempt marks its region non-convertible, except
+        when the overflow came from a failed-mode store (``keep_ert``),
+        which aborts with the ERT entry left as it is.
+        """
+        if self.discovery is not None and not keep_ert:
             entry = self.controller.ert.ensure(self.invocation.region_id)
             entry.is_convertible = False
         return self._abort_attempt(
@@ -587,7 +592,7 @@ class CoreExecutor:
         )
 
     def _exec_other_op(self, op):
-        """Body ops outside the fused step's exact-class dispatch."""
+        """Body ops outside the fused step's Load/Store/Compute/Branch."""
         if isinstance(op, AbortOp):
             if self.mode is ExecMode.FALLBACK:
                 # The fallback path is not a transaction: an XAbort there
@@ -596,9 +601,7 @@ class CoreExecutor:
                 # cycling forever between fallback and retry.
                 return self._commit(via_abort=True)
             return self._abort_attempt(AbortReason.EXPLICIT)
-        # Subclasses of the fused op classes.
-        if isinstance(op, (Load, Store)):
-            return self._exec_memory_op(op, is_store=isinstance(op, Store))
+        # Subclasses of the fused Compute and Branch classes.
         if isinstance(op, Compute):
             if self.discovery is not None:
                 self.discovery.on_compute(op.ops)
@@ -610,137 +613,6 @@ class CoreExecutor:
             self.machine.stats.record_branch()
             return self._busy(1)
         raise TypeError("AR body yielded unknown op {!r}".format(op))
-
-    def _exec_memory_op(self, op, is_store):
-        # The general memory-op path, for every case the fused body step
-        # hands back: CL modes, failed discovery, bounded (lrw) tracking
-        # sets, and fallback under the online monitor or beside held
-        # line locks. Everything touched more than once is bound to a
-        # local up front.
-        machine = self.machine
-        memsys = machine.memsys
-        mode = self.mode
-        rwsets = self.rwsets
-        discovery = self.discovery
-        word_addr = op.word_addr
-        line = line_of_word(word_addr)
-        if is_store:
-            self.attempt_stores += 1
-        else:
-            self.attempt_loads += 1
-
-        # NS-CL guarantee: every access must be within the learned,
-        # locked footprint. A deviation disproves immutability.
-        if mode is ExecMode.NS_CL and line not in self.locked_lines:
-            if self.controller is not None:
-                entry = self.controller.ert.ensure(self.invocation.region_id)
-                entry.is_immutable = False
-            return self._abort_attempt(AbortReason.FOOTPRINT_DEVIATION)
-
-        # Cacheline lock gate.
-        if line not in self.locked_lines:
-            try:
-                memsys.locks.check_access(
-                    self.core, line, nackable=mode is not ExecMode.FALLBACK
-                )
-            except NackError as nacked:
-                return self._abort_attempt(
-                    AbortReason.NACKED, line=nacked.line, enemy=nacked.holder
-                )
-            except LockDenied as denied:
-                return (STEP_BLOCK, ("line", denied.line))
-
-        # Failed-mode stores never leave the SQ: no coherence request.
-        if mode is ExecMode.FAILED_DISCOVERY and is_store:
-            discovery.on_store(line, op.addr_tainted)
-            if rwsets is not None:
-                try:
-                    rwsets.record_write(line)
-                except CapacityExceeded as exc:
-                    return self._abort_attempt(
-                        self.design.classify_capacity_abort(
-                            executor=self, exc=exc
-                        ),
-                        line=exc.line,
-                    )
-                rwsets.buffer_store(word_addr, op.store_value)
-            if discovery.exhausted:
-                return self._conclude_exhausted_failed_discovery()
-            return self._busy(1, failed_discovery=True)
-
-        # Conflict arbitration (failed-mode loads are non-aborting):
-        # probe the sharer index for this line instead of scanning every
-        # core. Fallback runs under mutual exclusion: every speculative
-        # AR was aborted when the lock was taken and none can begin
-        # while it is held, so its direct (unrecoverable) stores never
-        # arbitrate.
-        if mode is not ExecMode.FALLBACK:
-            resolution = machine.resolve_conflict(
-                self.core, line, is_store,
-                requester_failed=mode is ExecMode.FAILED_DISCOVERY,
-            )
-            if resolution.requester_abort_reason is not None:
-                return self._abort_attempt(
-                    resolution.requester_abort_reason,
-                    line=line, enemy=resolution.nacking_core,
-                )
-            for victim in resolution.victims:
-                machine.executors[victim].receive_remote_conflict(
-                    line, is_store, self.core
-                )
-
-        result = memsys.access(self.core, line, is_store)
-        machine.stats.record_access(result.level)
-        latency = result.latency
-        if machine.faults is not None:
-            latency += machine.faults.jitter(self.core)
-
-        # Speculative set tracking / capacity.
-        if rwsets is not None:
-            try:
-                if is_store:
-                    rwsets.record_write(line)
-                else:
-                    rwsets.record_read(line)
-            except CapacityExceeded as exc:
-                return self._capacity_abort(exc)
-
-        # Discovery footprint and indirection tracking.
-        failed = mode is ExecMode.FAILED_DISCOVERY
-        if discovery is not None:
-            if is_store:
-                discovery.on_store(line, op.addr_tainted)
-            else:
-                discovery.on_load(line, op.addr_tainted)
-            if failed and discovery.exhausted:
-                return self._conclude_exhausted_failed_discovery()
-
-        # Architectural data movement.
-        if is_store:
-            if rwsets is not None:
-                rwsets.buffer_store(word_addr, op.store_value)
-            else:
-                # Fallback: direct store, applied to the monitor's
-                # value map as it is issued (mutual exclusion means no
-                # concurrent commit can interleave).
-                value = op.store_value
-                machine.memory.store(word_addr, value)
-                if self.monitor is not None:
-                    self.monitor.note_fallback_store(
-                        self.core, word_addr, value
-                    )
-            return self._busy(latency, failed_discovery=failed)
-        if rwsets is not None:
-            forwarded = rwsets.forwarded_load(word_addr)
-            value = forwarded if forwarded is not None else machine.memory.load(word_addr)
-        else:
-            value = machine.memory.load(word_addr)
-            if self.monitor is not None:
-                # Fallback loads are checked eagerly: under mutual
-                # exclusion memory must match the committed prefix.
-                self.monitor.note_fallback_load(self.core, word_addr, value)
-        self.gen_send_value = TaintedValue(value, tainted=True)
-        return self._busy(latency, failed_discovery=failed)
 
     # ------------------------------------------------------------------
     # Region end (XEnd)
@@ -1001,11 +873,8 @@ class CoreExecutor:
     # Helpers
     # ------------------------------------------------------------------
 
-    def _busy(self, cycles, failed_discovery=False, lock_acquire=False):
-        self.machine.stats.add_busy(
-            self.core, cycles, failed_discovery=failed_discovery,
-            lock_acquire=lock_acquire,
-        )
+    def _busy(self, cycles, lock_acquire=False):
+        self.machine.stats.add_busy(self.core, cycles, lock_acquire=lock_acquire)
         return (STEP_DELAY, cycles)
 
 
@@ -1014,20 +883,34 @@ def fused_body_step(ex):
 
     The closure binds every structure the common operations touch, so
     an operation costs a few calls instead of the ~40-call walk through
-    the executor, memory system, tracking sets and stats. Plain
-    speculative HTM operations (cache-geometry
-    :class:`~repro.htm.rwset.ReadWriteSets` in the sharer index) and
-    plain fallback operations run inline: lock-table
-    gate, private-hit classification with its directory and LRU
-    updates, set tracking, discovery and data movement. Every
-    speculative request still arbitrates through
-    :meth:`Machine.resolve_conflict`, the seam the conflict
-    cross-check and test-planted arbiter faults hook, and misses go
-    through :meth:`MemorySystem.access`. Every other case — CL modes,
-    failed discovery, bounded ``lrw`` sets, fallback under the online
-    monitor or beside held line locks, pending and planned aborts —
-    runs the executor's general methods, so the step's results are
-    bit-identical to running those methods on every operation.
+    the executor, memory system, tracking sets and stats. Every Load and
+    Store runs here, in every mode: lock-table gate, private-hit
+    classification with its directory and LRU updates, set tracking,
+    discovery and data movement. The modes differ only in tests on the
+    attempt's mode and tracking sets:
+
+    - **fallback** has no lock gate (the lock table is empty while the
+      fallback writer is held, ``validate_machine`` invariant 4), no
+      arbitration and no tracking sets; its stores go straight to
+      memory and the online monitor checks each load and store eagerly;
+    - **failed discovery** arbitrates as a non-aborting requester, its
+      stores stay in the store queue (no coherence request, 1 cycle),
+      it aborts once discovery runs out of resources, and its cycles
+      also count as failed-discovery time;
+    - **NS-CL** aborts on a line outside its locked footprint;
+    - **NS-CL and failed tracking sets** are not in the sharer index
+      (a failed attempt left it at its conflict; NS-CL detects no
+      conflicts and its sets have no cache geometry either);
+    - **bounded** ``lrw`` sets track through their own
+      ``record_read``/``record_write`` budget checks.
+
+    Every conflict-detecting request still arbitrates through
+    :meth:`Machine.resolve_conflict`, the seam the conflict cross-check
+    and test-planted arbiter faults hook, and misses go through
+    :meth:`MemorySystem.access`. The rare cases — pending and planned
+    aborts, the SLE window, region end, ``AbortOp`` and Compute/Branch
+    subclasses — run the executor's methods, so the step's results are
+    bit-identical to the executor's general semantics.
 
     The step returns the delay in cycles (a plain int, the common
     outcome) for an operation performed inline, else the ``(kind,
@@ -1054,14 +937,14 @@ def fused_body_step(ex):
     drop_private = memsys._drop_private_line
     lock_holders = memsys.locks._holders
     directory_entries = memsys.directory._entries
-    sharer_index = machine.sharer_index
-    sharer_lines = sharer_index._lines
+    sharer_lines = machine.sharer_index._lines
     memory = machine.memory
     mem_words = memory._words
     monitor = machine.monitor
     faults = machine.faults
     sle = machine.config.speculation == "sle"
-    speculative = ExecMode.SPECULATIVE
+    failed_mode = ExecMode.FAILED_DISCOVERY
+    ns_cl_mode = ExecMode.NS_CL
     fallback_mode = ExecMode.FALLBACK
     new_tainted = TaintedValue.__new__
 
@@ -1087,43 +970,75 @@ def fused_body_step(ex):
             return ex._region_end()
         ex.gen_send_value = None
         cls = op.__class__
-        if cls is Load or cls is Store:
-            is_store = cls is Store
-            rwsets = ex.rwsets
-            mode = ex.mode
-            if (
-                mode is speculative
-                and rwsets.__class__ is ReadWriteSets
-                and rwsets._index is sharer_index
-            ):
-                spec = True
-            elif mode is fallback_mode and monitor is None and not lock_holders:
-                # Fallback runs under mutual exclusion with direct
-                # stores: no lock gate (the table is empty), no
-                # arbitration, no tracking sets. Under the monitor its
-                # eager load/store hooks live on the general path.
-                spec = False
-            else:
-                return ex._exec_memory_op(op, is_store=is_store)
-            addr = op.addr
-            addr_is_tainted = addr.__class__ is TaintedValue
-            word_addr = addr.value if addr_is_tainted else int(addr)
-            line = word_addr // WORDS_PER_LINE
-            if is_store:
-                ex.attempt_stores += 1
-            else:
-                ex.attempt_loads += 1
+        if cls is Load:
+            is_store = False
+        elif cls is Store:
+            is_store = True
+        elif cls is Compute:
+            discovery = ex.discovery
+            if discovery is not None:
+                discovery.on_compute(op.ops)
+            compute_ops.value += op.ops
+            cycles = op.cycles
+            if cycles < 1:
+                cycles = 1
+            core_stats.busy_cycles += cycles
+            return cycles
+        elif cls is Branch:
+            discovery = ex.discovery
+            if discovery is not None:
+                condition = op.condition
+                discovery.on_branch(
+                    condition.__class__ is TaintedValue and condition.tainted
+                )
+            branch_ops.value += 1
+            core_stats.busy_cycles += 1
+            return 1
+        elif isinstance(op, Load):
+            is_store = False
+        elif isinstance(op, Store):
+            is_store = True
+        else:
+            return ex._exec_other_op(op)
 
-            if spec:
-                # Cacheline lock gate: a speculative attempt holds no
-                # locks itself and is always nackable.
-                if lock_holders:
-                    holder = lock_holders.get(line)
-                    if holder is not None and holder != core:
-                        return ex._abort_attempt(
-                            AbortReason.NACKED, line=line, enemy=holder
-                        )
-                resolution = machine.resolve_conflict(core, line, is_store)
+        mode = ex.mode
+        addr = op.addr
+        addr_is_tainted = addr.__class__ is TaintedValue
+        word_addr = addr.value if addr_is_tainted else int(addr)
+        line = word_addr // WORDS_PER_LINE
+        if is_store:
+            ex.attempt_stores += 1
+        else:
+            ex.attempt_loads += 1
+        failed = mode is failed_mode
+        # Failed-mode stores never leave the SQ: no coherence request.
+        queued = failed and is_store
+
+        # Fallback runs under mutual exclusion: no arbitration, and no
+        # lock gate, because the lock table is empty while the fallback
+        # writer runs (validate_machine invariant 4).
+        if mode is not fallback_mode:
+            if mode is ns_cl_mode and line not in ex.locked_lines:
+                # NS-CL guarantee: every access lies within the learned,
+                # locked footprint. A deviation disproves immutability.
+                entry = ex.controller.ert.ensure(ex.invocation.region_id)
+                entry.is_immutable = False
+                return ex._abort_attempt(AbortReason.FOOTPRINT_DEVIATION)
+            # Cacheline lock gate: the attempt's own locked lines pass;
+            # any other holder NACKs it.
+            if lock_holders:
+                holder = lock_holders.get(line)
+                if holder is not None and holder != core:
+                    return ex._abort_attempt(
+                        AbortReason.NACKED, line=line, enemy=holder
+                    )
+            if queued:
+                ex.discovery.on_store(line, addr_is_tainted and addr.tainted)
+            else:
+                # Failed-mode loads arbitrate as non-aborting requesters.
+                resolution = machine.resolve_conflict(
+                    core, line, is_store, failed
+                )
                 reason = resolution.requester_abort_reason
                 if reason is not None:
                     return ex._abort_attempt(
@@ -1134,6 +1049,9 @@ def fused_body_step(ex):
                         line, is_store, core
                     )
 
+        if queued:
+            latency = 1
+        else:
             # Private L1 hits are classified here, with the directory
             # transition and the LRU refresh of MemorySystem._fill;
             # everything else (misses, upgrades, invalidation rounds,
@@ -1190,132 +1108,137 @@ def fused_body_step(ex):
             if faults is not None:
                 latency += faults.jitter(core)
 
-            if not spec:
-                # Fallback data movement: straight to memory.
-                if is_store:
-                    value = op.value
-                    memory.store_count += 1
-                    mem_words[word_addr] = (
-                        value.value if value.__class__ is TaintedValue
-                        else int(value)
-                    )
-                else:
-                    memory.load_count += 1
-                    loaded = new_tainted(TaintedValue)
-                    loaded.value = mem_words.get(word_addr, 0)
-                    loaded.tainted = True
-                    ex.gen_send_value = loaded
-                core_stats.busy_cycles += latency
-                return latency
-
-            # ReadWriteSets.record_write/record_read, with the sharer
-            # index and monitor registration written out. Like them, an
-            # overflow aborts after the line is tracked.
-            if is_store:
-                write_set = rwsets.write_set
-                if line not in write_set:
-                    write_set.add(line)
-                    entry = sharer_lines.get(line)
-                    if entry is None:
-                        entry = sharer_lines[line] = LineSharers()
-                    entry.writers.add(core)
-                    l2_geometry = rwsets._l2_sets
-                    if l2_geometry is not None and line not in rwsets.read_set:
-                        counts = rwsets._union_counts
-                        idx = line % l2_geometry
-                        count = counts.get(idx, 0) + 1
-                        counts[idx] = count
-                        if count == rwsets._l2_assoc + 1:
-                            rwsets._union_over += 1
-                    l1_geometry = rwsets._l1_sets
-                    if l1_geometry is not None:
-                        counts = rwsets._write_counts
-                        idx = line % l1_geometry
-                        count = counts.get(idx, 0) + 1
-                        counts[idx] = count
-                        if count == rwsets._l1_assoc + 1:
-                            rwsets._write_over += 1
-                        if rwsets._write_over:
-                            return ex._capacity_abort(
-                                CapacityExceeded("write", line)
-                            )
-            else:
-                read_set = rwsets.read_set
-                if line not in read_set:
-                    read_set.add(line)
-                    entry = sharer_lines.get(line)
-                    if entry is None:
-                        entry = sharer_lines[line] = LineSharers()
-                    entry.readers.add(core)
-                    epochs = rwsets._monitor_epochs
-                    if epochs is not None:
-                        rwsets.monitor_reads[line] = epochs.get(line, 0)
-                    l2_geometry = rwsets._l2_sets
-                    if l2_geometry is not None:
-                        if line not in rwsets.write_set:
-                            counts = rwsets._union_counts
-                            idx = line % l2_geometry
-                            count = counts.get(idx, 0) + 1
-                            counts[idx] = count
-                            if count == rwsets._l2_assoc + 1:
-                                rwsets._union_over += 1
-                        if rwsets._union_over:
-                            return ex._capacity_abort(
-                                CapacityExceeded("read", line)
-                            )
-
-            # Discovery footprint tracking (CLEAR designs). The mode is
-            # SPECULATIVE, so failed discovery cannot run out here.
-            discovery = ex.discovery
-            if discovery is not None:
-                tainted = addr_is_tainted and addr.tainted
-                if is_store:
-                    discovery.on_store(line, tainted)
-                else:
-                    discovery.on_load(line, tainted)
-
-            # Speculative data movement: stores buffer, loads forward.
+        rwsets = ex.rwsets
+        if rwsets is None:
+            # Fallback data movement: straight to memory, checked by
+            # the monitor as it is issued (mutual exclusion means no
+            # concurrent commit can interleave).
             if is_store:
                 value = op.value
-                rwsets._write_buffer[word_addr] = (
+                value = (
                     value.value if value.__class__ is TaintedValue
                     else int(value)
                 )
+                memory.store_count += 1
+                mem_words[word_addr] = value
+                if monitor is not None:
+                    monitor.note_fallback_store(core, word_addr, value)
             else:
-                buffered = rwsets._write_buffer
-                value = buffered.get(word_addr) if buffered else None
-                if value is None:
-                    memory.load_count += 1
-                    value = mem_words.get(word_addr, 0)
-                # TaintedValue(value, tainted=True) without the
-                # constructor's coercions: buffered and architectural
-                # words are always plain ints.
+                memory.load_count += 1
+                value = mem_words.get(word_addr, 0)
+                if monitor is not None:
+                    monitor.note_fallback_load(core, word_addr, value)
                 loaded = new_tainted(TaintedValue)
                 loaded.value = value
                 loaded.tainted = True
                 ex.gen_send_value = loaded
             core_stats.busy_cycles += latency
             return latency
-        if cls is Compute:
-            discovery = ex.discovery
-            if discovery is not None:
-                discovery.on_compute(op.ops)
-            compute_ops.value += op.ops
-            cycles = op.cycles
-            if cycles < 1:
-                cycles = 1
-            core_stats.busy_cycles += cycles
-            return cycles
-        if cls is Branch:
-            discovery = ex.discovery
-            if discovery is not None:
-                condition = op.condition
-                discovery.on_branch(
-                    condition.__class__ is TaintedValue and condition.tainted
-                )
-            branch_ops.value += 1
-            core_stats.busy_cycles += 1
-            return 1
-        return ex._exec_other_op(op)
+
+        # ReadWriteSets.record_write/record_read, with the sharer index
+        # and monitor registration written out. Like them, an overflow
+        # aborts after the line is tracked.
+        if rwsets.__class__ is not ReadWriteSets:
+            # Bounded (lrw) sets check their budgets before admitting.
+            try:
+                if is_store:
+                    rwsets.record_write(line)
+                else:
+                    rwsets.record_read(line)
+            except CapacityExceeded as exc:
+                return ex._capacity_abort(exc, keep_ert=queued)
+        elif is_store:
+            write_set = rwsets.write_set
+            if line not in write_set:
+                write_set.add(line)
+                if rwsets._index is not None:
+                    entry = sharer_lines.get(line)
+                    if entry is None:
+                        entry = sharer_lines[line] = LineSharers()
+                    entry.writers.add(core)
+                l2_geometry = rwsets._l2_sets
+                if l2_geometry is not None and line not in rwsets.read_set:
+                    counts = rwsets._union_counts
+                    idx = line % l2_geometry
+                    count = counts.get(idx, 0) + 1
+                    counts[idx] = count
+                    if count == rwsets._l2_assoc + 1:
+                        rwsets._union_over += 1
+                l1_geometry = rwsets._l1_sets
+                if l1_geometry is not None:
+                    counts = rwsets._write_counts
+                    idx = line % l1_geometry
+                    count = counts.get(idx, 0) + 1
+                    counts[idx] = count
+                    if count == rwsets._l1_assoc + 1:
+                        rwsets._write_over += 1
+                    if rwsets._write_over:
+                        return ex._capacity_abort(
+                            CapacityExceeded("write", line), keep_ert=queued
+                        )
+        else:
+            read_set = rwsets.read_set
+            if line not in read_set:
+                read_set.add(line)
+                if rwsets._index is not None:
+                    entry = sharer_lines.get(line)
+                    if entry is None:
+                        entry = sharer_lines[line] = LineSharers()
+                    entry.readers.add(core)
+                epochs = rwsets._monitor_epochs
+                if epochs is not None:
+                    rwsets.monitor_reads[line] = epochs.get(line, 0)
+                l2_geometry = rwsets._l2_sets
+                if l2_geometry is not None:
+                    if line not in rwsets.write_set:
+                        counts = rwsets._union_counts
+                        idx = line % l2_geometry
+                        count = counts.get(idx, 0) + 1
+                        counts[idx] = count
+                        if count == rwsets._l2_assoc + 1:
+                            rwsets._union_over += 1
+                    if rwsets._union_over:
+                        return ex._capacity_abort(
+                            CapacityExceeded("read", line)
+                        )
+
+        # Discovery footprint and indirection tracking (CLEAR designs);
+        # a queued store reached discovery before its line was tracked.
+        # Failed discovery that ran out of resources aborts here, before
+        # the store is buffered or the load reads memory.
+        discovery = ex.discovery
+        if discovery is not None and not queued:
+            tainted = addr_is_tainted and addr.tainted
+            if is_store:
+                discovery.on_store(line, tainted)
+            else:
+                discovery.on_load(line, tainted)
+        if failed and discovery.exhausted:
+            return ex._conclude_exhausted_failed_discovery()
+
+        # Speculative data movement: stores buffer, loads forward.
+        if is_store:
+            value = op.value
+            rwsets._write_buffer[word_addr] = (
+                value.value if value.__class__ is TaintedValue
+                else int(value)
+            )
+        else:
+            buffered = rwsets._write_buffer
+            value = buffered.get(word_addr) if buffered else None
+            if value is None:
+                memory.load_count += 1
+                value = mem_words.get(word_addr, 0)
+            # TaintedValue(value, tainted=True) without the
+            # constructor's coercions: buffered and architectural
+            # words are always plain ints.
+            loaded = new_tainted(TaintedValue)
+            loaded.value = value
+            loaded.tainted = True
+            ex.gen_send_value = loaded
+        core_stats.busy_cycles += latency
+        if failed:
+            core_stats.discovery_failed_cycles += latency
+        return latency
 
     return body_step

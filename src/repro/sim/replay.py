@@ -18,6 +18,9 @@ from repro.core.indirection import TaintedValue
 from repro.sim.program import AbortOp, Branch, Compute, Load, Store
 
 
+_OP_KINDS = (Load, Store, Branch, AbortOp, Compute)
+
+
 class ReplayResult:
     """Footprint and taint observations from one replayed execution."""
 
@@ -64,6 +67,7 @@ def replay_body(body_factory, memory, commit=False, stop_on_abort=False):
     words = memory._words
     tv = TaintedValue
     tv_new = TaintedValue.__new__
+    op_kinds = _OP_KINDS
     while True:
         try:
             op = send(send_value)
@@ -71,6 +75,9 @@ def replay_body(body_factory, memory, commit=False, stop_on_abort=False):
             break
         send_value = None
         kind = op.__class__
+        if kind not in op_kinds:
+            # A subclass replays as the op class it extends.
+            kind = next((k for k in op_kinds if isinstance(op, k)), None)
         if kind is Load:
             addr = op.addr
             if addr.__class__ is tv:
@@ -111,9 +118,7 @@ def replay_body(body_factory, memory, commit=False, stop_on_abort=False):
             if stop_on_abort:
                 gen.close()
                 break
-        elif kind is Compute:
-            pass
-        else:
+        elif kind is None:
             raise TypeError("unknown op {!r}".format(op))
     if commit:
         for word_addr, value in buffered.items():

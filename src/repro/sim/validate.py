@@ -11,7 +11,9 @@ Checked invariants:
    the holder in the directory;
 2. every pinned L1 line of a core is actually locked by that core;
 3. fallback writer and readers never coexist;
-4. a core holding cacheline locks is in a CL mode (or fallback never);
+4. a core holding cacheline locks is in a CL mode (S-CL or NS-CL), and
+   the lock table is empty while the fallback writer is held — so a
+   fallback operation never meets a locked line and needs no lock gate;
 5. the power token holder, if any, is a valid core id;
 6. L1 contents are included in L2 (private-cache inclusion);
 7. the machine-global sharer index equals a from-scratch rebuild over
@@ -36,7 +38,8 @@ def validate_machine(machine):
 def _validate_locks(machine):
     memsys = machine.memsys
     for core in range(machine.config.num_cores):
-        for line in memsys.locks.held_lines(core):
+        held = memsys.locks.held_lines(core)
+        for line in held:
             if memsys.locks.holder(line) != core:
                 raise ProtocolError(
                     "lock table disagrees on holder of line {}".format(line)
@@ -60,6 +63,13 @@ def _validate_locks(machine):
                         core, line
                     )
                 )
+        mode = machine.executors[core].mode
+        if held and mode not in (ExecMode.S_CL, ExecMode.NS_CL):
+            raise ProtocolError(
+                "core {} holds line locks {} in mode {}".format(
+                    core, sorted(held)[:8], mode
+                )
+            )
 
 
 def _validate_fallback(machine):
@@ -68,6 +78,13 @@ def _validate_fallback(machine):
         raise ProtocolError(
             "fallback lock held by writer {} and readers {} at once".format(
                 fallback.writer, sorted(fallback.readers)
+            )
+        )
+    locked = machine.memsys.locks.locked_line_count()
+    if fallback.is_write_held() and locked:
+        raise ProtocolError(
+            "fallback writer {} runs while {} line(s) are locked".format(
+                fallback.writer, locked
             )
         )
     for reader in fallback.readers:

@@ -5,12 +5,19 @@ state machine: fallback-lock abort types, NACKs on locked lines,
 explicit aborts, CRT population, and zombie-transaction arbitration.
 """
 
+import json
+from collections import Counter
+
+import pytest
+
 from repro.core.modes import ExecMode
 from repro.htm.abort import AbortReason
-from repro.htm.design import design_name
+from repro.htm.design import ClearDesign, design_name
 from repro.sim.config import SimConfig
+from repro.sim.executor import CoreExecutor
 from repro.sim.machine import Machine
-from repro.sim.program import AbortOp, Compute, Invoke, Load, Store
+from repro.sim.program import AbortOp, Branch, Compute, Invoke, Load, Store
+from repro.workloads import make_workload
 from tests.integration.test_machine_basic import ScriptedWorkload, counter_invoke
 
 
@@ -179,3 +186,178 @@ class TestRetryModeTransitions:
             {0: list(script), 1: list(script)}, letter="C",
         )
         assert stats.total_commits == 30
+
+
+class SubLoad(Load):
+    __slots__ = ()
+
+
+class SubStore(Store):
+    __slots__ = ()
+
+
+class SubCompute(Compute):
+    __slots__ = ()
+
+
+class SubBranch(Branch):
+    __slots__ = ()
+
+
+SUBCLASSED = {
+    Load: lambda op: SubLoad(op.addr),
+    Store: lambda op: SubStore(op.addr, op.value),
+    Compute: lambda op: SubCompute(op.cycles, op.ops),
+    Branch: lambda op: SubBranch(op.condition),
+}
+
+
+def subclassed_body(body, seen):
+    """Re-yield ``body``'s ops as instances of the subclasses above."""
+    send_value = None
+    while True:
+        try:
+            op = body.send(send_value)
+        except StopIteration:
+            return
+        convert = SUBCLASSED.get(op.__class__)
+        if convert is not None:
+            seen[op.__class__] += 1
+            op = convert(op)
+        send_value = yield op
+
+
+def run_registry_cell(workload_name, design, seen=None, **overrides):
+    config = SimConfig.for_design(design, num_cores=8, **overrides)
+    workload = make_workload(workload_name, ops_per_thread=4)
+    if seen is not None:
+        make_invocation = workload.make_invocation
+
+        def subclassed_invocation(thread_id, rng):
+            invoke = make_invocation(thread_id, rng)
+            factory = invoke.body_factory
+            return Invoke(
+                invoke.region_id, lambda: subclassed_body(factory(), seen)
+            )
+
+        workload.make_invocation = subclassed_invocation
+    machine = Machine(config, workload, seed=2)
+    stats = machine.run()
+    return (
+        json.dumps(stats.to_dict(), sort_keys=True),
+        machine.event_count,
+        machine.memory.snapshot(),
+    )
+
+
+class TestOpSubclasses:
+    """Subclassed body ops take the same paths as the base classes."""
+
+    CELLS = (
+        ("sorted-list", "clear", {}),  # failed discovery, S-CL, NS-CL
+        ("mwobject", "clear", {}),
+        ("arrayswap", "clear", {"retry_threshold": 1, "oracle": "online"}),
+        ("sorted-list", "lrw", {"lrw_read_lines": 16, "lrw_write_lines": 4}),
+        ("genome", "baseline", {"speculation": "sle"}),
+        ("bst", "powertm", {}),
+    )
+
+    @pytest.mark.parametrize("workload,design,overrides", CELLS)
+    def test_subclassed_ops_match_base_ops(self, workload, design, overrides):
+        seen = Counter()
+        base = run_registry_cell(workload, design, **overrides)
+        subclassed = run_registry_cell(workload, design, seen, **overrides)
+        assert seen[Load] and seen[Store]
+        assert subclassed == base
+
+    @pytest.mark.parametrize("letter", ("B", "C"))
+    def test_subclassed_compute_and_branch_match_base(self, letter):
+        seen = Counter()
+
+        def branchy_invoke(wrap):
+            def build(workload):
+                addr = workload.addr(0)
+
+                def body():
+                    value = yield Load(addr)
+                    yield Branch(value)
+                    yield Compute(150)
+                    yield Store(addr, value + 1)
+
+                if wrap:
+                    return Invoke(("scripted", "branchy"),
+                                  lambda: subclassed_body(body(), seen))
+                return Invoke(("scripted", "branchy"), body)
+
+            return build
+
+        def run(wrap):
+            script = [branchy_invoke(wrap) for _ in range(8)]
+            machine, _, stats = run_scripted(
+                {0: list(script), 1: list(script), 2: list(script)},
+                letter=letter, cores=3, retry_threshold=2,
+            )
+            return (
+                json.dumps(stats.to_dict(), sort_keys=True),
+                machine.event_count,
+                machine.memory.snapshot(),
+            )
+
+        assert run(wrap=True) == run(wrap=False)
+        assert all(seen[cls] for cls in SUBCLASSED)
+
+
+class TestFailedModeStoreCapacity:
+    """A failed-mode store overflow leaves the ERT entry untouched.
+
+    Unlike every other tracking-set overflow of a discovering attempt,
+    it does not mark the region non-convertible; the abort reason still
+    comes from the design's ``classify_capacity_abort``.
+    """
+
+    def test_overflow_keeps_ert_and_takes_the_design_reason(self, monkeypatch):
+        def build_victim(workload):
+            conflict = workload.addr(0)
+            # Two lines in the same set of a 2-set, 1-way L1: the second
+            # write overflows the write set.
+            first, second = workload.addr(2), workload.addr(4)
+
+            def body():
+                yield Load(conflict)
+                yield Compute(400)
+                yield Store(first, 1)
+                yield Store(second, 2)
+
+            return Invoke(("scripted", "victim"), body)
+
+        def build_writer(workload):
+            conflict = workload.addr(0)
+
+            def body():
+                yield Compute(100)
+                yield Store(conflict, 7)
+
+            return Invoke(("scripted", "writer"), body)
+
+        seen = []
+        abort_attempt = CoreExecutor._abort_attempt
+
+        def spy(executor, reason, *args, **kwargs):
+            if executor.core == 0 and not seen:
+                entry = executor.controller.ert.ensure(("scripted", "victim"))
+                seen.append((executor.mode, reason, entry.is_convertible))
+            return abort_attempt(executor, reason, *args, **kwargs)
+
+        monkeypatch.setattr(CoreExecutor, "_abort_attempt", spy)
+        monkeypatch.setattr(
+            ClearDesign, "classify_capacity_abort",
+            lambda self, *, executor, exc: AbortReason.INJECTED_CAPACITY,
+        )
+        machine, _, stats = run_scripted(
+            {0: [build_victim], 1: [build_writer]}, letter="C",
+            l1_size=128, l1_assoc=1,
+        )
+        assert seen == [
+            (ExecMode.FAILED_DISCOVERY, AbortReason.INJECTED_CAPACITY, True)
+        ]
+        assert stats.total_commits == 2
