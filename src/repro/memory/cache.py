@@ -8,7 +8,7 @@ answers the discovery-phase assessment *"can we simultaneously lock the
 cachelines accessed within the AR?"* (paper §4.1, item 2).
 """
 
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 
 from repro.common.errors import ConfigurationError
 
@@ -28,6 +28,9 @@ class CacheLookup:
 
 class SetAssocCache:
     """An LRU set-associative cache over cacheline ids.
+
+    Sets are built on first use, so a new cache holds none and
+    construction costs O(1) rather than O(num_sets).
 
     Parameters
     ----------
@@ -52,8 +55,10 @@ class SetAssocCache:
         self.assoc = assoc
         self.num_sets = num_lines // assoc
         # Each set is an OrderedDict line -> pinned flag; insertion order is
-        # LRU order (least recently used first).
-        self._sets = [OrderedDict() for _ in range(self.num_sets)]
+        # LRU order (least recently used first). A run touches a small
+        # share of the sets, so we keep them in a sparse dict that builds
+        # a set on its first subscript (the fused body step relies on it).
+        self._sets = defaultdict(OrderedDict)
 
     def set_index(self, line):
         """Cache set an address maps to."""
@@ -137,10 +142,6 @@ class SetAssocCache:
                 raise OverflowError("cannot invalidate pinned (locked) line")
             del entries[line]
 
-    def pinned_count(self, set_index):
-        """Number of pinned ways in the given set."""
-        return sum(1 for pinned in self._sets[set_index].values() if pinned)
-
     def can_coreside(self, lines):
         """True if all given lines could be resident simultaneously.
 
@@ -157,8 +158,11 @@ class SetAssocCache:
         return True
 
     def resident_lines(self):
-        """All resident line ids (for tests)."""
+        """All resident line ids, in set-index order then LRU order.
+
+        Walks only the sets built so far, so the cost is O(touched sets).
+        """
         lines = []
-        for entries in self._sets:
-            lines.extend(entries.keys())
+        for _, entries in sorted(self._sets.items()):
+            lines.extend(entries)
         return lines

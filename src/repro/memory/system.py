@@ -185,13 +185,3 @@ class MemorySystem:
     def probe_exclusive_hit(self, core, line):
         """Group-lock probe: line resident in L1 with exclusive permission?"""
         return self.l1[core].contains(line) and self.directory.is_owner(core, line)
-
-    def evict_core_state(self, core):
-        """Drop all private-cache state of a core (used by tests)."""
-        for line in list(self.l1[core].resident_lines()):
-            self.l1[core].unpin(line)
-            self.l1[core].invalidate(line)
-        for line in list(self.l2[core].resident_lines()):
-            self.l2[core].unpin(line)
-            self.l2[core].invalidate(line)
-            self.directory.drop(core, line)

@@ -8,9 +8,10 @@ from repro.common.constants import WORDS_PER_LINE
 from repro.core.modes import ExecMode
 from repro.htm.design import design_name
 from repro.sim.config import SimConfig
-from repro.sim.machine import Machine
+from repro.sim.machine import Machine, build_machine
 from repro.sim.program import Compute, Invoke, Load, Store, Think
 from repro.workloads.base import Mutability, RegionSpec, Workload
+from repro.workloads.registry import make_workload
 
 
 class ScriptedWorkload(Workload):
@@ -173,3 +174,15 @@ class TestClearPath:
         assert clear.commits_by_mode.get(ExecMode.FALLBACK, 0) <= baseline.commits_by_mode.get(
             ExecMode.FALLBACK, 0
         )
+
+
+class TestLazyConstruction:
+    def test_genome_128_cores_builds_no_cache_set_before_run(self):
+        machine = build_machine(
+            SimConfig(num_cores=128), make_workload("genome", ops_per_thread=2)
+        )
+        memsys = machine.memsys
+        caches = memsys.l1 + memsys.l2 + [memsys.l3]
+        assert sum(len(cache._sets) for cache in caches) == 0
+        machine.run()
+        assert 0 < len(memsys.l3._sets) <= memsys.l3.num_sets

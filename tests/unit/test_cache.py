@@ -66,6 +66,30 @@ class TestInsertLookup:
         cache.insert(1)
         assert sorted(cache.resident_lines()) == [0, 1]
 
+    def test_resident_lines_in_set_then_lru_order(self):
+        cache = tiny_cache(sets=4, assoc=2)
+        for line in (7, 2, 5, 6, 1):  # sets 3, 2, 1, 2, 1
+            cache.insert(line)
+        cache.touch(2)
+        assert cache.resident_lines() == [5, 1, 6, 2, 7]
+
+
+class TestLazySets:
+    """Sets are built on first use; a fresh cache holds none."""
+
+    def test_installs_build_exactly_their_sets(self):
+        cache = SetAssocCache(512 * 1024, 8)
+        assert len(cache._sets) == 0
+        lines = [3, 1024 + 17, 5 * 1024 + 900, 42]
+        for line in lines:
+            cache.install(line)
+        assert sorted(cache._sets) == sorted(line % 1024 for line in lines)
+
+    def test_can_coreside_builds_no_set(self):
+        cache = SetAssocCache(512 * 1024, 8)
+        assert cache.can_coreside(range(100))
+        assert len(cache._sets) == 0
+
 
 class TestPinning:
     def test_pinned_line_never_evicted(self):
@@ -115,12 +139,15 @@ class TestPinning:
         cache.invalidate(0)
         assert not cache.contains(0)
 
-    def test_pinned_count(self):
+    def test_pin_marks_only_that_line(self):
         cache = tiny_cache(sets=1, assoc=2)
         cache.insert(0)
         cache.insert(1)
         cache.pin(0)
-        assert cache.pinned_count(0) == 1
+        assert [cache.is_pinned(line) for line in cache.resident_lines()] == [
+            True,
+            False,
+        ]
 
 
 class TestCanCoreside:

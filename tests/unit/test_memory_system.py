@@ -147,3 +147,37 @@ class TestEvictions:
         evicted = [line for line in (0, 4) if not memsys.l1[0].contains(line)]
         assert len(resident) == 1 and len(evicted) == 1
         assert 0 in memsys.directory.holders(evicted[0])
+
+
+def materialised_sets(memsys):
+    """Set indices built so far, per cache: (L1 per core, L2 per core, L3)."""
+    return (
+        [set(cache._sets) for cache in memsys.l1],
+        [set(cache._sets) for cache in memsys.l2],
+        set(memsys.l3._sets),
+    )
+
+
+class TestLazyCacheSets:
+    """Cache sets are built on first use, never at construction."""
+
+    def test_fresh_default_geometry_has_no_sets(self):
+        memsys = MemorySystem(num_cores=128)
+        l1_sets, l2_sets, l3_sets = materialised_sets(memsys)
+        assert (memsys.l1[0].num_sets, memsys.l2[0].num_sets) == (64, 1024)
+        assert memsys.l3.num_sets == 4096
+        assert not any(l1_sets) and not any(l2_sets) and not l3_sets
+
+    def test_accesses_build_exactly_the_touched_sets(self):
+        memsys = MemorySystem(num_cores=128)
+        # 1 + 65 * i is a distinct set in every cache for i < 64.
+        lines = [1 + 65 * i for i in range(20)]
+        for i, line in enumerate(lines):
+            memsys.access(3, line, is_write=bool(i % 2))
+        l1_sets, l2_sets, l3_sets = materialised_sets(memsys)
+        assert l1_sets[3] == {line % 64 for line in lines}
+        assert l2_sets[3] == {line % 1024 for line in lines}
+        assert l3_sets == {line % 4096 for line in lines}
+        assert len(l1_sets[3]) == len(lines)
+        assert not any(l1_sets[:3] + l1_sets[4:])
+        assert not any(l2_sets[:3] + l2_sets[4:])
