@@ -107,8 +107,12 @@ def measure_cell(workload, letter, cores, ops_per_thread, reps,
         if best_build is None or build < best_build:
             best_build = build
         started = time.perf_counter()
-        stats = machine.run()
-        wall = time.perf_counter() - started
+        try:
+            stats = machine.run()
+            wall = time.perf_counter() - started
+        finally:
+            # Free the machine by refcount before the next rep builds one.
+            machine.close()
         rep_events = machine.event_count
         if events is not None and rep_events != events:
             raise AssertionError(

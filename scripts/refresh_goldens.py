@@ -96,7 +96,10 @@ def compute_corpus():
             machine = build_machine(
                 config, make_workload(name, ops_per_thread=4), seed=1
             )
-            machine.run()
+            try:
+                machine.run()
+            finally:
+                machine.close()
             memory = machine.memory.snapshot()
             per_design[design] = {
                 "commits": stats.total_commits,

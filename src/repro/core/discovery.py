@@ -112,6 +112,13 @@ class DiscoveryState:
     def _track(self, line, written):
         if self.alt_overflow:
             return
+        entry = self.alt.entry(line)
+        if entry is not None:
+            # Already tracked: only a write changes the entry, and its
+            # directory set is known.
+            if written:
+                entry.needs_locking = True
+            return
         try:
             self.alt.record_access(line, self._dir_set_of(line), written)
         except AltOverflow:

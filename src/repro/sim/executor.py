@@ -400,11 +400,10 @@ class CoreExecutor:
         cycles = 0
         if len(group) > 1:
             # Lexicographical group: probe the private cache first.
-            all_exclusive = all(
-                memsys.probe_exclusive_hit(self.core, entry.line) for entry in group
-            )
+            all_exclusive = True
             for entry in group:
                 entry.hit = memsys.probe_exclusive_hit(self.core, entry.line)
+                all_exclusive = all_exclusive and entry.hit
             if not all_exclusive and self._lock_set_held is None:
                 memsys.directory.lock_set(self.core, dir_set)
                 self._lock_set_held = dir_set
@@ -860,13 +859,15 @@ class CoreExecutor:
             return
         if self.attempt_index != 2:
             return
-        retry_footprint = replay_body(
-            self.invocation.body_factory, self.machine.memory
-        ).footprint
         first = self.first_abort_footprint
-        same = first == retry_footprint
-        small = len(first) <= self.config.alt_entries
-        self.machine.stats.record_first_retry(same and small)
+        # A first footprint larger than the ALT is not counted whatever
+        # the retry touches, so its replay is skipped.
+        counted = len(first) <= self.config.alt_entries
+        if counted:
+            counted = first == replay_body(
+                self.invocation.body_factory, self.machine.memory
+            ).footprint
+        self.machine.stats.record_first_retry(counted)
         self.fig1_recorded = True
 
     # ------------------------------------------------------------------

@@ -178,6 +178,30 @@ class Machine:
             self.fallback.observer = self._on_fallback_event
             self.power.observer = self._on_power_event
 
+    def close(self):
+        """Drop the back-references that make this machine cyclic garbage.
+
+        Each executor's ``machine`` and ``body_step`` closure, the
+        checkers' ``machine`` and the trace observers all point back at
+        the machine, so without this a finished machine (caches,
+        directory, stats, trace buffers) is freed only by a cyclic
+        collection. After ``close()`` the machine is freed by reference
+        counting once its owner lets go; ``stats``, ``memory``,
+        ``executors`` and their state stay readable, but the machine
+        cannot run again. Idempotent. Owners that build a machine and
+        discard it call this in a ``finally``; :meth:`run` does not,
+        because callers inspect the executors after a run.
+        """
+        for executor in self.executors:
+            executor.machine = None
+            executor.body_step = None
+        if self.monitor is not None:
+            self.monitor.machine = None
+        if self.oracle is not None:
+            self.oracle.machine = None
+        self.fallback.observer = None
+        self.power.observer = None
+
     # -- trace observer hooks -------------------------------------------------
 
     def _on_fallback_event(self, event, core, shared):

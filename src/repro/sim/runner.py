@@ -217,7 +217,10 @@ def _simulate_one(workload_factory, config, *, seed=1, energy_model=None,
     """
     workload = workload_factory()
     machine = build_machine(config, workload, seed, trace=trace)
-    stats = machine.run()
+    try:
+        stats = machine.run()
+    finally:
+        machine.close()
     model = energy_model or EnergyModel()
     energy = model.evaluate(stats)
     attached = trace if isinstance(trace, EventTrace) else None

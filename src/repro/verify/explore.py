@@ -152,6 +152,8 @@ def run_schedule(factory, config, seed, scheduler, *, trace=None,
     except SimulationError as exc:
         error = "{}: {}".format(type(exc).__name__, exc)
         violations.append(violation("simulation-error", str(exc)))
+    finally:
+        machine.close()
     violations.extend(check_retry_bound(ledger, config))
     if violations:
         # Canonicalize through JSON so tuples inside oracle details become

@@ -229,7 +229,10 @@ def record_trace(workload, out_dir, *, config=None, seed=1,
         config = config.replaced(oracle="off")
     recorder = _RecordingWorkload(inner)
     machine = build_machine(config, recorder, seed=seed)
-    stats = machine.run()
+    try:
+        stats = machine.run()
+    finally:
+        machine.close()
     records = recorder.finish()
 
     os.makedirs(out_dir, exist_ok=True)
