@@ -105,12 +105,6 @@ def parse_args(argv):
              ".prof files next to the cache dir, and print a top-15 "
              "cumulative-time table (cache hits are not profiled)",
     )
-    parser.add_argument(
-        "--debug-conflict-check", action="store_true",
-        help="cross-validate the sharer-index conflict path against the "
-             "legacy full peer scan on every resolution (slow; any "
-             "divergence raises)",
-    )
     args = parser.parse_args(argv)
     cli.validate_engine_flags(parser, args)
     cli.validate_journal_flags(parser, args)
@@ -141,8 +135,6 @@ def main(argv=None):
         )
     if args.oracle is not None:
         settings.config_overrides["oracle"] = args.oracle
-    if args.debug_conflict_check:
-        settings.config_overrides["debug_conflict_check"] = True
     jobs = cli.resolve_jobs(args)
     cache_dir = cli.resolve_cache_dir(args)
     profile_dir = None

@@ -22,6 +22,7 @@ import sys
 
 from repro import cli
 from repro.cli import argparse
+from repro.htm.design import DESIGN_REGISTRY
 from repro.verify import ScheduleArtifact, replay_artifact, verify
 from repro.workloads import DATASTRUCTURE_NAMES
 
@@ -39,8 +40,9 @@ def parse_args(argv):
     )
     parser.add_argument(
         "--config", default="baseline", metavar="DESIGN",
-        help="HTM design name (legacy B/P/C/W letters still resolve; "
-             "default: %(default)s)",
+        choices=sorted(DESIGN_REGISTRY),
+        help="HTM design name, one of %(choices)s "
+             "(default: %(default)s)",
     )
     parser.add_argument(
         "--seed", type=int, default=1, metavar="S",

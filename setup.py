@@ -4,7 +4,7 @@ from setuptools import find_packages, setup
 
 setup(
     name="repro",
-    version="1.0.0",
+    version="2.0.0",
     description=(
         "CLEAR: bounding speculative execution of atomic regions to a "
         "single retry (ASPLOS 2024) - full Python reproduction"

@@ -22,9 +22,8 @@ Quickstart::
 designs are pluggable: :class:`repro.HtmDesign` is the backend
 protocol, :data:`repro.DESIGN_REGISTRY` maps design names to
 implementations, and :func:`repro.register_design` adds new ones (see
-DESIGN.md §12). The historical ``run_workload``/``run_seeds``/
-``sweep_retry_threshold`` trio still lives in :mod:`repro.sim.runner`
-with a :class:`DeprecationWarning` but is no longer re-exported here.
+DESIGN.md §12). Designs are named by their registry key; the paper's
+B/P/C/W letters only label figure columns.
 """
 
 from repro.core.modes import ExecMode
@@ -42,7 +41,7 @@ from repro import api, obs
 from repro.api import SimulationReport, simulate
 from repro.obs import EventTrace, MetricRegistry
 
-__version__ = "1.2.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "api",

@@ -70,18 +70,6 @@ class CycleLimitExceeded(SimulationStallError):
     """The run passed ``max_cycles`` without completing every thread."""
 
 
-class ConflictIndexMismatch(SimulationError):
-    """The sharer-index fast path disagreed with the legacy peer scan.
-
-    Raised only under ``debug_conflict_check=True``; ``details`` carries
-    the request and both resolutions.
-    """
-
-    def __init__(self, message, details=None):
-        super().__init__(message)
-        self.details = details if details is not None else {}
-
-
 class OracleViolation(SimulationError):
     """A runtime correctness oracle detected a broken guarantee.
 

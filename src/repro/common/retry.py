@@ -1,9 +1,8 @@
 """Unified retry policy: jittered exponential backoff under a budget.
 
-The engine used to carry ad-hoc ``retry_backoff_seconds`` doubling
-logic inline; :class:`RetryPolicy` replaces it with one object that
-every restart loop shares — pool restarts today, the remote executor
-of the simulation service tomorrow. Mirroring the source paper's
+:class:`RetryPolicy` is the one backoff object that every restart
+loop shares — pool restarts today, the remote executor of the
+simulation service tomorrow. Mirroring the source paper's
 contract (bounded speculation, then a fallback that always completes),
 a policy bounds *total* time spent retrying: once the optional
 ``budget_seconds`` deadline is exhausted the caller stops retrying and

@@ -302,11 +302,12 @@ class BigAtomicsDesign(ClearDesign):
 
 
 def design_name(spec):
-    """Canonical design name for a name or legacy letter (no warning).
+    """Canonical design name for a name or a paper letter.
 
-    The silent translation helper for internal call sites; user-facing
-    surfaces (``SimConfig.for_letter``, ``repro.api``) wrap it with a
-    :class:`DeprecationWarning` for the letter spelling.
+    The figures key their columns by the paper's B/P/C/W letters, and
+    the experiment matrix maps those keys back to designs through this
+    helper. User-facing configuration surfaces (``SimConfig``,
+    ``repro.api``) accept design names only.
     """
     return LEGACY_LETTER_DESIGNS.get(spec, spec)
 

@@ -19,12 +19,12 @@ incrementally at the exact points transactional membership changes:
   no residue here.
 
 The invariant, checked by ``validate_machine``: the index equals the
-union of read/write sets over exactly those cores the legacy
-``Machine.peer_views`` scan would expose with ``is_failed=False`` —
-i.e. phase BODY, speculative mode other than failed discovery, live
-rwsets, no pending abort. ``ConflictArbiter.resolve_line`` over this
-index is then equivalent to ``ConflictArbiter.resolve`` over full peer
-views, by construction.
+union of read/write sets over exactly the conflict-visible cores —
+phase BODY, speculative mode other than failed discovery, live rwsets,
+no pending abort. ``ConflictArbiter.resolve_line`` over this index is
+then equivalent to ``ConflictArbiter.resolve`` over a
+:class:`~repro.htm.arbiter.TxPeerView` of each such core, by
+construction (the exhaustive reference check in the test suite).
 """
 
 

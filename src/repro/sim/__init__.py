@@ -1,7 +1,7 @@
 """Simulation engine: cores, programs, timing, statistics, wiring.
 
 - :mod:`repro.sim.config` — the Table 2 machine configuration plus
-  policy knobs selecting the evaluated configurations (B/P/C/W).
+  the ``design`` knob selecting the evaluated HTM design.
 - :mod:`repro.sim.program` — the operation vocabulary atomic-region
   bodies are written in (Load/Store/Compute/Branch/AbortOp).
 - :mod:`repro.sim.stats` — the measurement surface backing every
@@ -9,8 +9,8 @@
 - :mod:`repro.sim.executor` — the per-core AR execution state machine.
 - :mod:`repro.sim.machine` — the assembled multicore machine and its
   event loop.
-- :mod:`repro.sim.runner` — multi-seed runs with the paper's trimmed
-  mean, and the retry-threshold design-space sweep.
+- :mod:`repro.sim.runner` — run results, the paper's trimmed-mean
+  aggregate, and the helpers behind :mod:`repro.api`.
 - :mod:`repro.sim.engine` — the parallel, cached experiment engine
   fanning independent (workload, config, seed) cells over worker
   processes with content-addressed on-disk memoization.
@@ -31,7 +31,7 @@
 """
 
 from repro.common.retry import RetryPolicy
-from repro.sim.config import SimConfig, HtmPolicy
+from repro.sim.config import SimConfig
 from repro.sim.engine import (
     CellFailure,
     DiskCache,
@@ -49,11 +49,10 @@ from repro.sim.oracle import RuntimeOracle
 from repro.sim.program import Load, Store, Compute, Branch, AbortOp, Invoke, Think
 from repro.sim.stats import MachineStats, CoreStats
 from repro.sim.machine import Machine
-from repro.sim.runner import run_workload, run_seeds, RunResult, AggregateResult
+from repro.sim.runner import RunResult, AggregateResult
 
 __all__ = [
     "SimConfig",
-    "HtmPolicy",
     "CellFailure",
     "DiskCache",
     "EngineFaultPlan",
@@ -77,8 +76,6 @@ __all__ = [
     "MachineStats",
     "CoreStats",
     "Machine",
-    "run_workload",
-    "run_seeds",
     "RunResult",
     "AggregateResult",
 ]

@@ -61,17 +61,11 @@ from repro.sim.runner import RunResult, _simulate_one
 from repro.workloads import make_workload, workload_cache_token
 
 #: Bump when the cached result format (or anything influencing a run's
-#: output) changes; every key embeds it, so old entries simply miss.
-#: v2: RunResult dicts grew a "trace" slot and MachineStats a "metrics"
-#: registry section.
-#: v3: SimConfig serializes the canonical ``design`` name instead of
-#: the powertm/clear booleans (from_dict migrates v2 payloads).
-#: v4: SimConfig.oracle is a checker-mode string ("off"/"shadow"/
-#: "online"/"cross-check") instead of a boolean (from_dict migrates
-#: v3 payloads).
-#: v5: SimConfig lost its ``backend`` field (one event loop remains;
-#: from_dict drops the key from v4 payloads).
-SCHEMA_VERSION = 5
+#: output) changes; every key embeds it, so old entries simply miss,
+#: and a journal written under another version is refused. Payloads
+#: are never migrated: :meth:`SimConfig.from_dict` accepts exactly the
+#: current fields.
+SCHEMA_VERSION = 6
 
 DEFAULT_CACHE_DIR = ".exp_cache"
 
@@ -565,15 +559,13 @@ class ExperimentEngine:
                        (parallel mode only; ``None`` disables).
     ``max_cell_retries``      — extra attempts a timed-out or
                        crash-victim cell gets before quarantine.
-    ``retry_backoff_seconds`` — base sleep after a pool kill/crash
-                       (legacy spelling; builds the default
-                       ``retry_policy``).
     ``retry_policy`` — a :class:`~repro.common.retry.RetryPolicy`
                        governing pool-restart backoff: jittered
                        exponential delays plus an optional total
                        retry-time budget; once the budget is exhausted
                        further retry candidates are quarantined so the
-                       sweep always terminates.
+                       sweep always terminates. ``None`` means 0.5 s
+                       doubling up to :attr:`MAX_BACKOFF_SECONDS`.
     ``cache_max_bytes`` — LRU size bound for the on-disk cache
                        (``None`` = unbounded); ``cache_dir`` may also
                        be a prebuilt :class:`DiskCache` for full
@@ -610,8 +602,7 @@ class ExperimentEngine:
     MAX_BACKOFF_SECONDS = 10.0
 
     def __init__(self, jobs=None, cache_dir=DEFAULT_CACHE_DIR, progress=None,
-                 cell_timeout=None, max_cell_retries=2,
-                 retry_backoff_seconds=0.5, profile_dir=None,
+                 cell_timeout=None, max_cell_retries=2, profile_dir=None,
                  retry_policy=None, cache_max_bytes=None, execute=None):
         self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
         if self.jobs < 1:
@@ -630,10 +621,8 @@ class ExperimentEngine:
         self.progress = progress
         self.cell_timeout = cell_timeout
         self.max_cell_retries = max_cell_retries
-        self.retry_backoff_seconds = retry_backoff_seconds
         self.retry_policy = retry_policy if retry_policy is not None else (
-            RetryPolicy(base_seconds=retry_backoff_seconds,
-                        max_seconds=self.MAX_BACKOFF_SECONDS)
+            RetryPolicy(base_seconds=0.5, max_seconds=self.MAX_BACKOFF_SECONDS)
         )
         self.profile_dir = profile_dir
         # Cells served from cache are never profiled — only actual
@@ -1019,12 +1008,11 @@ class ExperimentEngine:
 
 
 def run_specs(specs, *, jobs=None, cache_dir=DEFAULT_CACHE_DIR, progress=None,
-              cell_timeout=None, max_cell_retries=2,
-              retry_backoff_seconds=0.5, retry_policy=None, journal=None):
+              cell_timeout=None, max_cell_retries=2, retry_policy=None,
+              journal=None):
     """One-shot functional entry point over a throwaway engine."""
     engine = ExperimentEngine(jobs=jobs, cache_dir=cache_dir,
                               progress=progress, cell_timeout=cell_timeout,
                               max_cell_retries=max_cell_retries,
-                              retry_backoff_seconds=retry_backoff_seconds,
                               retry_policy=retry_policy)
     return engine.run_specs(specs, journal=journal)

@@ -25,7 +25,6 @@ Load or Store takes, whatever the attempt's mode.
 from repro.common.constants import WORDS_PER_LINE
 from repro.core.modes import ExecMode
 from repro.htm.abort import AbortReason, counts_toward_retry_limit, NON_MEMORY_REASONS
-from repro.htm.arbiter import TxPeerView
 from repro.htm.rwset import CapacityExceeded, ReadWriteSets
 from repro.htm.sharer_index import LineSharers
 from repro.memory.directory import DirectoryEntry
@@ -183,27 +182,6 @@ class CoreExecutor:
             self.phase == BODY
             and self.mode is not None
             and self.mode.is_speculative
-        )
-
-    def peer_view(self):
-        """Arbiter view of this core's transaction, or None.
-
-        A transaction with a pending abort is a zombie: its speculative
-        state is already doomed and will be discarded, so it must not
-        arbitrate — in particular a doomed power-mode transaction must
-        not NACK (and thereby abort) a fallback execution whose direct
-        stores cannot be rolled back.
-        """
-        if not self.in_flight_speculative or self.rwsets is None:
-            return None
-        if self.pending_abort is not None:
-            return None
-        return TxPeerView(
-            core=self.core,
-            rwsets=self.rwsets,
-            is_power=self.machine.power.is_power(self.core),
-            conflict_detection_active=True,
-            is_failed=self.mode is ExecMode.FAILED_DISCOVERY,
         )
 
     # ------------------------------------------------------------------
@@ -705,9 +683,10 @@ class CoreExecutor:
         if self.pending_abort is None:
             self.pending_abort = AbortReason.MEMORY_CONFLICT
             self.pending_abort_detail = (line, from_core, remote_is_write)
-        # Zombie from here on: the legacy scan hides a doomed peer via
-        # peer_view() -> None, so the index must forget it at the same
-        # instant.
+        # Zombie from here on: its speculative state is doomed, so it
+        # must not arbitrate (a doomed power-mode attempt must not NACK
+        # a fallback execution whose direct stores cannot be rolled
+        # back). The index forgets it at this instant.
         if self.rwsets is not None:
             self.rwsets.detach_index()
 

@@ -13,7 +13,6 @@ paper's directory-retry rule).
 import heapq
 
 from repro.common.errors import (
-    ConflictIndexMismatch,
     CycleLimitExceeded,
     DeadlockError,
     LivelockError,
@@ -130,8 +129,6 @@ class Machine:
         # sharers instead of scanning all cores (see htm/sharer_index).
         self.sharer_index = SharerIndex()
         self._sharer_get = self.sharer_index._lines.get
-        self._debug_conflict_check = config.debug_conflict_check
-        self.conflict_cross_checks = 0
         self.stats = MachineStats(config.num_cores)
         # Event-loop pops in the last run() (host-side perf metric; not
         # part of MachineStats so result serialization is unchanged).
@@ -222,70 +219,23 @@ class Machine:
         """Next thread-level action for a core (Invoke/Think/None)."""
         return self.workload.next_action(core, self._action_rngs[core])
 
-    def peer_views(self, exclude):
-        """Arbiter views of every other in-flight transaction."""
-        views = []
-        for executor in self.executors:
-            if executor.core == exclude:
-                continue
-            view = executor.peer_view()
-            if view is not None:
-                views.append(view)
-        return views
-
     def resolve_conflict(self, core, line, is_write, requester_failed=False,
                          requester_unstoppable=False):
         """Arbitrate one memory request via the sharer index.
 
-        O(sharers of ``line``); equivalent to arbitrating against
-        :meth:`peer_views` (which stays as the oracle path — enable
-        ``debug_conflict_check`` to cross-validate every resolution).
+        O(sharers of ``line``): only the attempts that track the line
+        can conflict with it (see :mod:`repro.htm.sharer_index`).
         """
         sharers = self._sharer_get(line)
-        if sharers is None and not self._debug_conflict_check:
+        if sharers is None:
             # A line no attempt tracks: the common case, and what
             # resolve_line would answer too.
             return NO_CONFLICT
-        resolution = self.arbiter.resolve_line(
+        return self.arbiter.resolve_line(
             core, line, is_write, requester_failed, sharers,
             power_core=self.power.holder,
             requester_unstoppable=requester_unstoppable,
         )
-        if self._debug_conflict_check:
-            self._cross_check_resolution(
-                core, line, is_write, requester_failed,
-                requester_unstoppable, resolution,
-            )
-        return resolution
-
-    def _cross_check_resolution(self, core, line, is_write, requester_failed,
-                                requester_unstoppable, resolution):
-        self.conflict_cross_checks += 1
-        legacy = self.arbiter.resolve(
-            core, line, is_write, requester_failed,
-            peers=self.peer_views(exclude=core),
-            requester_unstoppable=requester_unstoppable,
-        )
-        if (list(resolution.victims) != list(legacy.victims)
-                or resolution.requester_abort_reason
-                is not legacy.requester_abort_reason
-                or resolution.nacking_core != legacy.nacking_core):
-            raise ConflictIndexMismatch(
-                "sharer-index resolution diverged from the legacy peer "
-                "scan for core {} {} line {}".format(
-                    core, "writing" if is_write else "reading", line
-                ),
-                details={
-                    "core": core,
-                    "line": line,
-                    "is_write": is_write,
-                    "requester_failed": requester_failed,
-                    "requester_unstoppable": requester_unstoppable,
-                    "indexed": repr(resolution),
-                    "legacy": repr(legacy),
-                    "sharers": repr(self.sharer_index.get(line)),
-                },
-            )
 
     def abort_all_speculative(self, reason, exclude):
         """Fallback acquisition: doom every in-flight speculative AR."""

@@ -3,7 +3,10 @@
 The paper executes every application "10 times with different seeds and
 the trimmed mean is used to remove 3 outliers"; :func:`trimmed_mean`
 implements that (dropping the 2 highest and 1 lowest by default when
-removing 3), and :func:`run_seeds` wires it to the simulator.
+removing 3), and :class:`AggregateResult` applies it to a seed set.
+The public entry points are :func:`repro.api.simulate`,
+:func:`repro.api.run_seeds` and :func:`repro.api.sweep_retry_threshold`;
+the private helpers here are what they and the experiment engine call.
 
 :class:`RunResult` and :class:`AggregateResult` round-trip losslessly
 through ``to_dict()``/``from_dict()``; the experiment engine's on-disk
@@ -20,14 +23,6 @@ from repro.obs.trace import EventTrace
 from repro.sim.config import SimConfig
 from repro.sim.machine import build_machine
 from repro.sim.stats import MachineStats
-
-
-def _deprecated(old, new):
-    warnings.warn(
-        "{}() is deprecated; use {} instead".format(old, new),
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 def trimmed_mean(values, trim=PAPER_TRIM):
@@ -209,8 +204,8 @@ def _simulate_one(workload_factory, config, *, seed=1, energy_model=None,
                   trace=None):
     """Simulate one (workload, config, seed) and return a RunResult.
 
-    The non-deprecated implementation behind :func:`repro.api.simulate`
-    and the experiment engine. ``trace`` is an optional
+    The implementation behind :func:`repro.api.simulate` and the
+    experiment engine. ``trace`` is an optional
     :class:`~repro.obs.trace.TraceSink` the machine emits into; when it
     is an :class:`~repro.obs.trace.EventTrace` it is also attached to
     the returned result.
@@ -245,26 +240,6 @@ def _run_seeds(workload_factory, config, *, seeds=range(1, 11),
     return AggregateResult(runs[0].workload_name, config, runs, trim)
 
 
-def run_workload(workload_factory, config, *, seed=1, energy_model=None):
-    """Deprecated: use :func:`repro.api.simulate`.
-
-    Simulates one (workload, config, seed) and returns a RunResult,
-    exactly as before; new code should call ``repro.api.simulate`` which
-    returns the richer :class:`~repro.api.SimulationReport`.
-    """
-    _deprecated("run_workload", "repro.api.simulate")
-    return _simulate_one(workload_factory, config, seed=seed,
-                         energy_model=energy_model)
-
-
-def run_seeds(workload_factory, config, *, seeds=range(1, 11),
-              trim=PAPER_TRIM, energy_model=None):
-    """Deprecated: use :func:`repro.api.simulate` with ``seeds=...``."""
-    _deprecated("run_seeds", "repro.api.simulate")
-    return _run_seeds(workload_factory, config, seeds=seeds, trim=trim,
-                      energy_model=energy_model)
-
-
 def select_best_threshold(aggregates_by_threshold):
     """Pick the best (by mean cycles) entry of a threshold -> aggregate map.
 
@@ -284,17 +259,13 @@ def select_best_threshold(aggregates_by_threshold):
 def _sweep_retry_threshold(workload, config, thresholds=range(1, 11),
                            seeds=(1, 2, 3), trim=SWEEP_TRIM, *,
                            ops_per_thread=None, engine=None):
-    """Design-space exploration: best retry threshold per application.
+    """Best retry threshold per application: the body of
+    :func:`repro.api.sweep_retry_threshold`.
 
-    The paper runs "from 1 to 10 retries for all benchmarks and selects
-    the best-performing one in each case". Returns the best aggregate
-    (by mean cycles) and the threshold that produced it.
-
-    ``workload`` is either a zero-argument factory (runs inline,
-    in-process) or a benchmark name from the registry, in which case the
-    sweep fans out through the experiment engine — parallel and cached
-    when ``engine`` is configured that way (``ops_per_thread`` scales
-    the named workload; ``None`` keeps its default).
+    A factory ``workload`` runs inline, in-process; a benchmark name
+    fans out through ``engine`` (``ops_per_thread`` scales it; ``None``
+    keeps its default). Returns the best aggregate (by mean cycles) and
+    the threshold that produced it.
     """
     if callable(workload):
         aggregates = {
@@ -327,14 +298,3 @@ def _sweep_retry_threshold(workload, config, thresholds=range(1, 11),
             runs[0].workload_name, runs[0].config, runs, trim
         )
     return select_best_threshold(aggregates)
-
-
-def sweep_retry_threshold(workload, config, thresholds=range(1, 11),
-                          seeds=(1, 2, 3), trim=SWEEP_TRIM, *,
-                          ops_per_thread=None, engine=None):
-    """Deprecated: use :func:`repro.api.sweep_retry_threshold`."""
-    _deprecated("sweep_retry_threshold", "repro.api.sweep_retry_threshold")
-    return _sweep_retry_threshold(
-        workload, config, thresholds=thresholds, seeds=seeds, trim=trim,
-        ops_per_thread=ops_per_thread, engine=engine,
-    )

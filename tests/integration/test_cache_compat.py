@@ -1,17 +1,19 @@
-"""Cache compatibility across the v1 -> v2 result-schema bump.
+"""Cache compatibility across result-schema bumps.
 
 SCHEMA_VERSION participates in both the cache key and the stored
 payload, so entries written by an older build must silently miss (never
 deserialize into the new shape), while same-version entries round-trip
 exactly — traces included — and legacy v1 result dicts (no ``trace``
 slot, no ``metrics`` section) still deserialize for consumers holding
-old JSON files.
+old JSON files. Old *config* payloads are not migrated: the retired
+keys are refused (see ``tests/unit/test_retired_spellings.py``).
 """
 
 import json
 
 import pytest
 
+from repro.htm.design import DESIGN_REGISTRY
 from repro.sim import engine as engine_mod
 from repro.sim.config import SimConfig
 from repro.sim.engine import SCHEMA_VERSION, ExperimentEngine, RunSpec
@@ -72,18 +74,6 @@ class TestSchemaBump:
         assert report.cache_hits == 0
         assert report.results[0] is not None
 
-    def test_backend_removal_bumped_the_schema(self):
-        # Dropping SimConfig.backend changed every config fingerprint;
-        # the v5 bump keeps v4 entries from ever mixing with new ones.
-        assert SCHEMA_VERSION >= 5
-
-    def test_v4_result_dict_with_backend_deserializes(self):
-        data = make_run_result_dict()
-        data["config"]["backend"] = "batch"
-        result = RunResult.from_dict(data)
-        assert result.config == SimConfig.for_design("baseline", num_cores=4)
-        assert result.stats.total_commits > 0
-
     def test_stored_payload_stamped_with_version(self, tmp_path):
         engine = ExperimentEngine(jobs=1, cache_dir=str(tmp_path))
         engine.run_specs([make_spec()])
@@ -91,6 +81,45 @@ class TestSchemaBump:
         assert entries
         payload = json.loads(entries[0].read_text())
         assert payload["schema_version"] == SCHEMA_VERSION
+
+
+class TestDesignFingerprint:
+    """A design keys the cache the same way along every canonical route."""
+
+    @staticmethod
+    def spec_for(config):
+        return RunSpec(workload="arrayswap", config=config, seed=1,
+                       ops_per_thread=4)
+
+    @pytest.mark.parametrize("design", sorted(DESIGN_REGISTRY))
+    def test_cache_key_stable_across_spellings(self, design):
+        canonical = SimConfig.for_design(design, num_cores=4)
+        payload = json.loads(json.dumps(canonical.to_dict()))
+        key = self.spec_for(canonical).cache_key()
+        for config in (
+            SimConfig(design=design, num_cores=4),
+            SimConfig(num_cores=4).replaced(design=design),
+            SimConfig.from_dict(payload),
+        ):
+            assert self.spec_for(config).cache_key() == key
+
+    def test_designs_key_separately(self):
+        keys = {
+            self.spec_for(SimConfig.for_design(design, num_cores=4))
+            .cache_key()
+            for design in DESIGN_REGISTRY
+        }
+        assert len(keys) == len(DESIGN_REGISTRY)
+
+    def test_payload_round_trip_hits_the_cache(self, tmp_path):
+        config = SimConfig.for_design("clear", num_cores=4)
+        engine = ExperimentEngine(jobs=1, cache_dir=str(tmp_path))
+        first = engine.run_specs_report([self.spec_for(config)])
+        assert first.cache_hits == 0
+        reread = SimConfig.from_dict(json.loads(json.dumps(config.to_dict())))
+        second = engine.run_specs_report([self.spec_for(reread)])
+        assert second.cache_hits == 1
+        assert second.results[0].to_dict() == first.results[0].to_dict()
 
 
 class TestLegacyResultDicts:
@@ -114,74 +143,6 @@ class TestLegacyResultDicts:
         data = make_run_result_dict(trace=True)
         assert data["trace"] is not None
         assert "metrics" in data["stats"]
-
-
-class TestDesignFingerprintMigration:
-    """v2 configs spelled powertm/clear booleans; v3 spells ``design``.
-
-    A cached payload written with the boolean flags must deserialize to
-    the same normalized fingerprint as its modern spelling, so RunSpec
-    cache keys stay stable for the four legacy modes (no spurious
-    cold-cache re-runs beyond the deliberate schema bump).
-    """
-
-    LEGACY = [
-        (False, False, "baseline"),
-        (True, False, "powertm"),
-        (False, True, "clear"),
-        (True, True, "clear+powertm"),
-    ]
-
-    def v2_config_dict(self, powertm, clear, design):
-        """A config dict as a v2 build would have written it."""
-        data = SimConfig.for_design(design, num_cores=4).to_dict()
-        del data["design"]
-        # v2 had no per-design knobs either; their defaults must not
-        # perturb the fingerprint of a migrated payload.
-        for knob in ("lrw_read_lines", "lrw_write_lines",
-                     "bigatomics_lines", "bigatomics_commit_cycles"):
-            del data[knob]
-        data["powertm"] = powertm
-        data["clear"] = clear
-        return data
-
-    @pytest.mark.parametrize("powertm, clear, design", LEGACY)
-    def test_boolean_payload_fingerprint_matches(self, powertm, clear, design):
-        migrated = SimConfig.from_dict(self.v2_config_dict(
-            powertm, clear, design
-        ))
-        modern = SimConfig.for_design(design, num_cores=4)
-        assert migrated == modern
-        assert migrated.fingerprint() == modern.fingerprint()
-
-    @pytest.mark.parametrize("powertm, clear, design", LEGACY)
-    def test_cache_key_stable_across_spellings(self, powertm, clear, design):
-        migrated_spec = RunSpec(
-            workload="arrayswap",
-            config=SimConfig.from_dict(self.v2_config_dict(
-                powertm, clear, design
-            )),
-            seed=1, ops_per_thread=4,
-        )
-        modern_spec = RunSpec(
-            workload="arrayswap",
-            config=SimConfig.for_design(design, num_cores=4),
-            seed=1, ops_per_thread=4,
-        )
-        assert migrated_spec.cache_key() == modern_spec.cache_key()
-
-    def test_migrated_payload_hits_modern_cache(self, tmp_path):
-        engine = ExperimentEngine(jobs=1, cache_dir=str(tmp_path))
-        engine.run_specs([make_spec()])
-        migrated = RunSpec(
-            workload="arrayswap",
-            config=SimConfig.from_dict(self.v2_config_dict(
-                False, False, "baseline"
-            )),
-            seed=1, ops_per_thread=4,
-        )
-        report = engine.run_specs_report([migrated])
-        assert report.cache_hits == 1
 
 
 def make_run_result_dict(trace=False):

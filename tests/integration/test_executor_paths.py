@@ -2,7 +2,7 @@
 
 Each test drives a scripted scenario down one specific edge of the
 state machine: fallback-lock abort types, NACKs on locked lines,
-explicit aborts, CRT population, and zombie-transaction arbitration.
+explicit aborts, CRT population, and retry-mode transitions.
 """
 
 import json
@@ -159,19 +159,29 @@ class TestCrtPopulation:
 
 
 class TestZombieArbitration:
-    def test_peer_view_hides_doomed_transactions(self):
-        script = [slow_counter_invoke() for _ in range(6)]
-        machine, _, _ = run_scripted({0: list(script), 1: list(script)})
-        executor = machine.executors[0]
-        # Simulate a doomed in-flight transaction.
-        executor.phase = "body"
-        executor.mode = ExecMode.SPECULATIVE
+    def test_doomed_attempt_leaves_arbitration(self):
+        # A remote conflict dooms the attempt (pending_abort set); from
+        # that instant it must neither be victimized again nor NACK.
+        from repro.htm.arbiter import NO_CONFLICT
         from repro.htm.rwset import ReadWriteSets
 
-        executor.rwsets = ReadWriteSets(l1_sets=None, l2_sets=None)
-        assert executor.peer_view() is not None
-        executor.pending_abort = AbortReason.OTHER_FALLBACK
-        assert executor.peer_view() is None
+        config = SimConfig.for_design("powertm", num_cores=2)
+        machine = Machine(config, make_workload("mwobject", ops_per_thread=2),
+                          seed=1)
+        executor = machine.executors[0]
+        executor.phase = "body"
+        executor.mode = ExecMode.SPECULATIVE
+        executor.rwsets = ReadWriteSets(l1_sets=None, l2_sets=None,
+                                        index=machine.sharer_index, core=0)
+        executor.rwsets.record_read(5)
+        executor.rwsets.record_write(6)
+        machine.power.try_acquire(0)
+        assert machine.resolve_conflict(1, 6, is_write=False).nacking_core == 0
+        executor.receive_remote_conflict(5, remote_is_write=True, from_core=1)
+        assert executor.pending_abort is AbortReason.MEMORY_CONFLICT
+        assert machine.sharer_index.snapshot() == {}
+        assert machine.resolve_conflict(1, 5, is_write=True) is NO_CONFLICT
+        assert machine.resolve_conflict(1, 6, is_write=False) is NO_CONFLICT
 
 
 class TestRetryModeTransitions:

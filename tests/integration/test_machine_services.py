@@ -5,6 +5,7 @@ import pytest
 from repro.common.errors import SimulationError
 from repro.core.modes import ExecMode
 from repro.htm.abort import AbortReason
+from repro.htm.arbiter import NO_CONFLICT
 from repro.htm.rwset import ReadWriteSets
 from repro.htm.design import design_name
 from repro.sim.config import SimConfig
@@ -25,30 +26,66 @@ def arm_speculative(executor, mode=ExecMode.SPECULATIVE, lines=(5,)):
         executor.rwsets.record_read(line)
 
 
-class TestPeerViews:
-    def test_no_transactions_no_views(self):
-        machine = fresh_machine()
-        assert machine.peer_views(exclude=0) == []
+def track(machine, core, reads=(), writes=()):
+    """Give ``core`` a live attempt registered in the sharer index."""
+    executor = machine.executors[core]
+    executor.phase = "body"
+    executor.mode = ExecMode.SPECULATIVE
+    executor.rwsets = ReadWriteSets(l1_sets=None, l2_sets=None,
+                                    index=machine.sharer_index, core=core)
+    for line in reads:
+        executor.rwsets.record_read(line)
+    for line in writes:
+        executor.rwsets.record_write(line)
+    return executor
 
-    def test_excludes_requester(self):
-        machine = fresh_machine()
-        arm_speculative(machine.executors[0])
-        assert machine.peer_views(exclude=0) == []
-        views = machine.peer_views(exclude=1)
-        assert [view.core for view in views] == [0]
 
-    def test_view_carries_power_flag(self):
+class TestResolveConflict:
+    """Arbitration over the sharer index: only tracking cores conflict."""
+
+    def test_untracked_line_no_conflict(self):
+        machine = fresh_machine()
+        track(machine, 0, reads=(5,))
+        assert machine.resolve_conflict(1, 6, is_write=True) is NO_CONFLICT
+
+    def test_requester_never_conflicts_with_itself(self):
+        machine = fresh_machine()
+        track(machine, 0, reads=(5,), writes=(5,))
+        assert machine.resolve_conflict(0, 5, is_write=True) is NO_CONFLICT
+
+    def test_write_victimizes_every_peer_sharer(self):
+        machine = fresh_machine()
+        track(machine, 0, reads=(5,))
+        track(machine, 2, writes=(5,))
+        resolution = machine.resolve_conflict(1, 5, is_write=True)
+        assert resolution.victims == [0, 2]
+        assert resolution.requester_proceeds
+
+    def test_read_conflicts_only_with_writers(self):
+        machine = fresh_machine()
+        track(machine, 0, reads=(5,))
+        assert machine.resolve_conflict(1, 5, is_write=False) is NO_CONFLICT
+        track(machine, 2, writes=(5,))
+        assert machine.resolve_conflict(1, 5, is_write=False).victims == [2]
+
+    def test_failed_requester_is_non_aborting(self):
+        machine = fresh_machine()
+        track(machine, 0, writes=(5,))
+        assert machine.resolve_conflict(
+            1, 5, is_write=True, requester_failed=True,
+        ) is NO_CONFLICT
+
+    def test_power_holder_nacks_the_requester(self):
         machine = fresh_machine("P")
-        arm_speculative(machine.executors[0])
+        track(machine, 0, reads=(5,))
         machine.power.try_acquire(0)
-        view = machine.peer_views(exclude=2)[0]
-        assert view.is_power
-
-    def test_failed_mode_flagged(self):
-        machine = fresh_machine()
-        arm_speculative(machine.executors[1], mode=ExecMode.FAILED_DISCOVERY)
-        view = machine.peer_views(exclude=0)[0]
-        assert view.is_failed
+        resolution = machine.resolve_conflict(2, 5, is_write=True)
+        assert resolution.requester_abort_reason is AbortReason.NACKED
+        assert resolution.nacking_core == 0
+        unstoppable = machine.resolve_conflict(
+            2, 5, is_write=True, requester_unstoppable=True,
+        )
+        assert unstoppable.victims == [0]
 
 
 class TestAbortAllSpeculative:

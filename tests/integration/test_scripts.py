@@ -291,6 +291,34 @@ class TestGenCorpus:
         assert "gen:" in result.stderr and "trace:" in result.stderr
 
 
+class TestRetiredFlags:
+    """Retired spellings are usage errors (exit 2), not tracebacks."""
+
+    def run_script(self, *argv):
+        return subprocess.run(
+            [sys.executable, str(SCRIPTS / argv[0])] + list(argv[1:]),
+            capture_output=True, text=True,
+        )
+
+    def test_verify_schedules_rejects_paper_letter(self):
+        result = self.run_script("verify_schedules.py", "--config", "W",
+                                 "--explore", "1", "--no-cache")
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert "invalid choice: 'W'" in result.stderr
+        assert "clear+powertm" in result.stderr
+
+    def test_run_experiments_rejects_debug_conflict_check(self, tmp_path):
+        result = self.run_script(
+            "run_experiments.py", "micro", str(tmp_path / "out.json"),
+            "--no-cache", "--debug-conflict-check",
+        )
+        assert result.returncode == 2
+        assert "unrecognized arguments: --debug-conflict-check" \
+            in result.stderr
+        assert not (tmp_path / "out.json").exists()
+
+
 class TestBenchDesignsJournal:
     def test_matrix_journal_resumes_identical(self, tmp_path):
         """One job folder journals the whole cross-design matrix."""

@@ -1,10 +1,9 @@
 """Unit tests for the repro.api facade.
 
-Pins the facade's contract: input resolution (names/factories, letters,
-seeds), report conveniences, serialization round-trips, the tracing
-hooks, and — required by the deprecation story — exact equivalence
-between the legacy ``repro.sim.runner`` trio and their ``repro.api``
-replacements, with the legacy spellings emitting DeprecationWarning.
+Pins the facade's contract: input resolution (names/factories, design
+names, seeds), report conveniences, serialization round-trips, the
+tracing hooks, and the equivalence of the multi-seed conveniences with
+``simulate``.
 """
 
 import warnings
@@ -15,7 +14,6 @@ from repro import api
 from repro.api import SimulationReport, simulate
 from repro.common.errors import ConfigurationError
 from repro.obs.trace import EventTrace
-from repro.sim import runner
 from repro.sim.config import SimConfig
 from repro.workloads import make_workload
 
@@ -33,7 +31,7 @@ def factory():
 
 
 class TestInputResolution:
-    def test_config_letter(self):
+    def test_design_name_reports_paper_letter(self):
         report = simulate("arrayswap", "baseline", seeds=1, ops_per_thread=OPS)
         assert report.config.config_letter == "B"
 
@@ -41,7 +39,7 @@ class TestInputResolution:
         report = simulate(factory, seeds=1)
         assert isinstance(report.config, SimConfig)
 
-    def test_bad_letter_rejected(self):
+    def test_unknown_design_rejected(self):
         with pytest.raises(ConfigurationError, match="registered design"):
             simulate("arrayswap", "Z", seeds=1)
 
@@ -81,16 +79,6 @@ class TestInputResolution:
         config = SimConfig.for_design("baseline", oracle="shadow")
         report = simulate("arrayswap", config, seeds=1, ops_per_thread=OPS,
                           oracle="off")
-        assert report.config.oracle == "off"
-
-    def test_oracle_bool_kwarg_warns_and_maps(self):
-        with pytest.warns(DeprecationWarning, match="oracle mode name"):
-            report = simulate("arrayswap", "baseline", seeds=1,
-                              ops_per_thread=OPS, oracle=True)
-        assert report.config.oracle == "shadow"
-        with pytest.warns(DeprecationWarning, match="oracle mode name"):
-            report = simulate("arrayswap", "baseline", seeds=1,
-                              ops_per_thread=OPS, oracle=False)
         assert report.config.oracle == "off"
 
     def test_named_and_factory_agree(self, config):
@@ -203,33 +191,33 @@ class TestEnginePath:
                      energy_model=EnergyModel())
 
 
-class TestLegacyEquivalence:
-    """The deprecated trio: warns, and returns exactly what api does."""
+class TestConveniences:
+    """``run_seeds`` is ``simulate(...).aggregate()``; nothing warns."""
 
-    def test_run_workload(self, config):
-        with pytest.warns(DeprecationWarning, match="run_workload"):
-            legacy = runner.run_workload(factory, config, seed=1)
-        assert legacy.to_dict() == simulate(factory, config, seeds=1) \
-            .run.to_dict()
+    def test_run_seeds_is_simulate_aggregate(self, config):
+        via_simulate = simulate(factory, config, seeds=(1, 2), trim=0)
+        via_run_seeds = api.run_seeds(factory, config, seeds=(1, 2), trim=0)
+        assert via_run_seeds.to_dict() == via_simulate.aggregate().to_dict()
 
-    def test_run_seeds(self, config):
-        with pytest.warns(DeprecationWarning, match="run_seeds"):
-            legacy = runner.run_seeds(factory, config, seeds=(1, 2), trim=0)
-        via_api = api.run_seeds(factory, config, seeds=(1, 2), trim=0)
-        assert legacy.to_dict() == via_api.to_dict()
+    def test_simulate_run_is_the_one_seed_result(self, config):
+        from repro.sim.runner import _simulate_one
 
-    def test_sweep_retry_threshold(self, config):
-        with pytest.warns(DeprecationWarning, match="sweep_retry_threshold"):
-            legacy_best, legacy_threshold = runner.sweep_retry_threshold(
-                "arrayswap", config, thresholds=(1, 2), seeds=(1,),
-                ops_per_thread=OPS,
-            )
-        best, threshold = api.sweep_retry_threshold(
+        direct = _simulate_one(factory, config, seed=1)
+        assert simulate(factory, config, seeds=1).run.to_dict() \
+            == direct.to_dict()
+
+    def test_sweep_inline_matches_engine(self, config):
+        # A factory sweeps inline, a name fans out through the engine;
+        # both must pick the same threshold with the same aggregate.
+        inline_best, inline_threshold = api.sweep_retry_threshold(
+            factory, config, thresholds=(1, 2), seeds=(1,),
+        )
+        named_best, named_threshold = api.sweep_retry_threshold(
             "arrayswap", config, thresholds=(1, 2), seeds=(1,),
             ops_per_thread=OPS,
         )
-        assert threshold == legacy_threshold
-        assert best.to_dict() == legacy_best.to_dict()
+        assert named_threshold == inline_threshold
+        assert named_best.to_dict() == inline_best.to_dict()
 
     def test_api_path_does_not_warn(self, config):
         with warnings.catch_warnings():

@@ -5,13 +5,8 @@ import warnings
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.htm.design import DESIGN_REGISTRY, LEGACY_LETTER_DESIGNS
-from repro.sim.config import (
-    HtmPolicy,
-    ORACLE_MODES,
-    SimConfig,
-    resolve_oracle_mode,
-)
+from repro.htm.design import DESIGN_REGISTRY
+from repro.sim.config import ORACLE_MODES, SimConfig
 
 
 class TestTable2Defaults:
@@ -56,8 +51,8 @@ class TestDesignSelection:
     def test_design_round_trip(self, design, letter, powertm, clear):
         config = SimConfig.for_design(design)
         assert config.design == design
-        assert config.powertm == powertm
-        assert config.clear == clear
+        assert config.design_class.powertm == powertm
+        assert config.design_class.clear == clear
         assert config.config_letter == letter
 
     def test_unknown_design_rejected(self):
@@ -75,64 +70,11 @@ class TestDesignSelection:
         assert SimConfig.for_design("lrw").config_letter == "lrw"
         assert SimConfig.for_design("bigatomics").config_letter == "bigatomics"
 
-    def test_htm_policy(self):
-        assert SimConfig.for_design("powertm").htm_policy is HtmPolicy.POWER_TM
-        assert SimConfig().htm_policy is HtmPolicy.REQUESTER_WINS
-
     def test_design_knob_validation(self):
         for knob in ("lrw_read_lines", "lrw_write_lines",
                      "bigatomics_lines", "bigatomics_commit_cycles"):
             with pytest.raises(ConfigurationError):
                 SimConfig(**{knob: 0})
-
-
-class TestLegacyLetterShim:
-    @pytest.mark.parametrize("letter", sorted(LEGACY_LETTER_DESIGNS))
-    def test_for_letter_warns_and_maps(self, letter):
-        with pytest.deprecated_call():
-            config = SimConfig.for_letter(letter)
-        assert config.design == LEGACY_LETTER_DESIGNS[letter]
-        assert config.config_letter == letter
-        assert config == SimConfig.for_design(LEGACY_LETTER_DESIGNS[letter])
-
-    def test_unknown_letter_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SimConfig.for_letter("X")
-
-
-class TestLegacyBooleanShim:
-    @pytest.mark.parametrize(
-        "flags, design",
-        [
-            (dict(powertm=False, clear=False), "baseline"),
-            (dict(powertm=True), "powertm"),
-            (dict(clear=True), "clear"),
-            (dict(powertm=True, clear=True), "clear+powertm"),
-        ],
-    )
-    def test_constructor_flags_warn_and_normalize(self, flags, design):
-        with pytest.deprecated_call():
-            config = SimConfig(num_cores=4, **flags)
-        assert config.design == design
-        assert config == SimConfig.for_design(design, num_cores=4)
-        assert config.fingerprint() == SimConfig.for_design(
-            design, num_cores=4
-        ).fingerprint()
-
-    def test_conflicting_design_and_flags_rejected(self):
-        with pytest.raises(ConfigurationError), pytest.deprecated_call():
-            SimConfig(design="baseline", clear=True)
-
-    def test_consistent_design_and_flags_accepted(self):
-        with pytest.deprecated_call():
-            config = SimConfig(design="clear", clear=True)
-        assert config.design == "clear"
-
-    def test_reading_properties_does_not_warn(self):
-        config = SimConfig.for_design("clear+powertm")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert config.powertm and config.clear
 
 
 class TestOracleModes:
@@ -157,34 +99,6 @@ class TestOracleModes:
             assert config.oracle_armed is armed
             assert config.shadow_oracle is shadow
             assert config.online_monitor is online
-
-    @pytest.mark.parametrize("legacy, mode", [(True, "shadow"), (False, "off")])
-    def test_boolean_kwarg_warns_and_normalizes(self, legacy, mode):
-        with pytest.deprecated_call():
-            config = SimConfig(oracle=legacy)
-        assert config.oracle == mode
-        assert config == SimConfig(oracle=mode)
-        assert config.fingerprint() == SimConfig(oracle=mode).fingerprint()
-
-    @pytest.mark.parametrize("legacy, mode", [(True, "shadow"), (False, "off")])
-    def test_boolean_payloads_migrate_silently(self, legacy, mode):
-        data = SimConfig(oracle=mode).to_dict()
-        data["oracle"] = legacy
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            migrated = SimConfig.from_dict(data)
-        assert migrated.oracle == mode
-        assert migrated.fingerprint() == SimConfig(oracle=mode).fingerprint()
-
-    def test_resolve_oracle_mode(self):
-        assert resolve_oracle_mode(None) is None
-        assert resolve_oracle_mode("online") == "online"
-        with pytest.deprecated_call():
-            assert resolve_oracle_mode(True) == "shadow"
-        with pytest.deprecated_call():
-            assert resolve_oracle_mode(False) == "off"
-        with pytest.raises(ConfigurationError):
-            resolve_oracle_mode("bogus")
 
     def test_reading_mode_properties_does_not_warn(self):
         config = SimConfig(oracle="cross-check")
@@ -217,20 +131,11 @@ class TestReplaced:
             retry_threshold=7
         )
         assert config.num_cores == 8
-        assert config.clear
+        assert config.design == "clear"
 
     def test_replaced_keeps_design(self):
         config = SimConfig.for_design("lrw").replaced(num_cores=2)
         assert config.design == "lrw"
-
-    def test_legacy_flag_override_warns_and_layers(self):
-        base = SimConfig.for_design("powertm")
-        with pytest.deprecated_call():
-            config = base.replaced(clear=True)
-        assert config.design == "clear+powertm"
-        with pytest.deprecated_call():
-            config = base.replaced(powertm=False)
-        assert config.design == "baseline"
 
     def test_original_unchanged(self):
         original = SimConfig()
@@ -238,7 +143,7 @@ class TestReplaced:
         assert original.num_cores == 32
 
 
-class TestDictMigration:
+class TestDictRoundTrip:
     def test_round_trip_serializes_design(self):
         config = SimConfig.for_design("lrw", num_cores=4)
         data = config.to_dict()
@@ -246,51 +151,8 @@ class TestDictMigration:
         assert "powertm" not in data and "clear" not in data
         assert SimConfig.from_dict(data) == config
 
-    @pytest.mark.parametrize(
-        "powertm, clear, design",
-        [
-            (False, False, "baseline"),
-            (True, False, "powertm"),
-            (False, True, "clear"),
-            (True, True, "clear+powertm"),
-        ],
-    )
-    def test_legacy_boolean_payloads_migrate_silently(self, powertm, clear,
-                                                      design):
-        data = SimConfig.for_design(design, num_cores=4).to_dict()
-        del data["design"]
-        data["powertm"] = powertm
-        data["clear"] = clear
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            migrated = SimConfig.from_dict(data)
-        assert migrated.design == design
-        assert migrated.fingerprint() == SimConfig.for_design(
-            design, num_cores=4
-        ).fingerprint()
-
-    def test_conflicting_legacy_keys_rejected(self):
-        data = SimConfig.for_design("baseline").to_dict()
-        data["clear"] = True
-        with pytest.raises(ConfigurationError):
-            SimConfig.from_dict(data)
-
     def test_unknown_keys_rejected(self):
         data = SimConfig().to_dict()
         data["mystery"] = 1
         with pytest.raises(ConfigurationError):
             SimConfig.from_dict(data)
-
-    @pytest.mark.parametrize("backend", ["reference", "batch"])
-    def test_legacy_backend_key_dropped(self, backend):
-        # v4 payloads named one of two bit-identical event loops; one
-        # loop remains, so either value maps to the same config.
-        config = SimConfig.for_design("clear", num_cores=4)
-        data = config.to_dict()
-        assert "backend" not in data
-        data["backend"] = backend
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            migrated = SimConfig.from_dict(data)
-        assert migrated == config
-        assert migrated.fingerprint() == config.fingerprint()

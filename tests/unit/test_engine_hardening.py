@@ -19,6 +19,7 @@ import time
 import pytest
 
 from repro.common.errors import ExperimentCellError
+from repro.common.retry import RetryPolicy
 from repro.sim import engine as engine_module
 from repro.sim.config import SimConfig
 from repro.sim.engine import (
@@ -38,6 +39,12 @@ HANG_SEED = 99
 CRASH_SEED = 66
 ERROR_SEED = 77
 CRASH_FLAG_ENV = "REPRO_TEST_CRASH_FLAG"
+
+
+def fast_retry():
+    """Pool-restart backoff short enough for tests."""
+    return RetryPolicy(base_seconds=0.01,
+                       max_seconds=ExperimentEngine.MAX_BACKOFF_SECONDS)
 
 
 def tiny_spec(**overrides):
@@ -206,7 +213,7 @@ class TestHungCells:
         patched_execute(hang_on_sentinel)
         engine = ExperimentEngine(
             jobs=2, cache_dir=str(tmp_path), cell_timeout=1.0,
-            max_cell_retries=1, retry_backoff_seconds=0.01,
+            max_cell_retries=1, retry_policy=fast_retry(),
         )
         specs = [tiny_spec(seed=1), tiny_spec(seed=HANG_SEED), tiny_spec(seed=2)]
         report = engine.run_specs_report(specs)
@@ -230,7 +237,7 @@ class TestHungCells:
         patched_execute(hang_on_sentinel)
         engine = ExperimentEngine(
             jobs=2, cache_dir=None, cell_timeout=1.0,
-            max_cell_retries=0, retry_backoff_seconds=0.01,
+            max_cell_retries=0, retry_policy=fast_retry(),
         )
         with pytest.raises(ExperimentCellError) as excinfo:
             engine.run_specs([tiny_spec(seed=HANG_SEED)])
@@ -248,7 +255,7 @@ class TestWorkerCrashes:
         patched_execute(crash_once_on_sentinel)
         engine = ExperimentEngine(
             jobs=2, cache_dir=None, max_cell_retries=2,
-            retry_backoff_seconds=0.01,
+            retry_policy=fast_retry(),
         )
         specs = [tiny_spec(seed=1), tiny_spec(seed=CRASH_SEED), tiny_spec(seed=2)]
         results = engine.run_specs(specs)  # crash absorbed: no raise
@@ -259,7 +266,7 @@ class TestWorkerCrashes:
         patched_execute(crash_always_on_sentinel)
         engine = ExperimentEngine(
             jobs=2, cache_dir=None, max_cell_retries=1,
-            retry_backoff_seconds=0.01,
+            retry_policy=fast_retry(),
         )
         specs = [tiny_spec(seed=1), tiny_spec(seed=CRASH_SEED)]
         report = engine.run_specs_report(specs)

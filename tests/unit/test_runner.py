@@ -2,14 +2,9 @@
 
 import pytest
 
+from repro import api
 from repro.sim.config import SimConfig
-from repro.sim.runner import (
-    AggregateResult,
-    run_seeds,
-    run_workload,
-    sweep_retry_threshold,
-    trimmed_mean,
-)
+from repro.sim.runner import AggregateResult, trimmed_mean
 from repro.workloads import make_workload
 
 
@@ -62,31 +57,23 @@ def quick_config(**overrides):
     return SimConfig.for_design("baseline", num_cores=4, **overrides)
 
 
-def deprecated():
-    """The runner delegates still work, and each call says it is deprecated."""
-    return pytest.warns(DeprecationWarning, match="is deprecated; use")
-
-
-class TestRunWorkload:
+class TestSimulateOneSeed:
     def test_returns_populated_result(self):
-        with deprecated():
-            result = run_workload(quick_factory(), quick_config(), seed=1)
+        result = api.simulate(quick_factory(), quick_config(), seeds=1).run
         assert result.cycles > 0
         assert result.stats.total_commits == 4 * 6
         assert result.energy.total > 0
         assert result.workload_name == "mwobject"
 
     def test_deterministic_for_same_seed(self):
-        with deprecated():
-            first = run_workload(quick_factory(), quick_config(), seed=5)
-            second = run_workload(quick_factory(), quick_config(), seed=5)
+        first = api.simulate(quick_factory(), quick_config(), seeds=5).run
+        second = api.simulate(quick_factory(), quick_config(), seeds=5).run
         assert first.cycles == second.cycles
         assert first.stats.total_aborts == second.stats.total_aborts
 
     def test_different_seeds_differ(self):
-        with deprecated():
-            first = run_workload(quick_factory(), quick_config(), seed=1)
-            second = run_workload(quick_factory(), quick_config(), seed=2)
+        first = api.simulate(quick_factory(), quick_config(), seeds=1).run
+        second = api.simulate(quick_factory(), quick_config(), seeds=2).run
         # Not guaranteed in principle, but overwhelmingly likely here.
         assert (first.cycles, first.stats.total_aborts) != (
             second.cycles,
@@ -96,20 +83,18 @@ class TestRunWorkload:
 
 class TestRunSeeds:
     def test_aggregates_over_seeds(self):
-        with deprecated():
-            aggregate = run_seeds(
-                quick_factory(), quick_config(), seeds=(1, 2, 3), trim=0
-            )
+        aggregate = api.run_seeds(
+            quick_factory(), quick_config(), seeds=(1, 2, 3), trim=0
+        )
         assert len(aggregate.runs) == 3
         assert aggregate.cycles > 0
         individual = sorted(run.cycles for run in aggregate.runs)
         assert individual[0] <= aggregate.cycles <= individual[-1]
 
     def test_mode_shares_cover_all_modes(self):
-        with deprecated():
-            aggregate = run_seeds(
-                quick_factory(), quick_config(), seeds=(1,), trim=0
-            )
+        aggregate = api.run_seeds(
+            quick_factory(), quick_config(), seeds=(1,), trim=0
+        )
         shares = aggregate.commit_mode_shares()
         assert abs(sum(shares.values()) - 1.0) < 1e-9
 
@@ -119,47 +104,44 @@ class TestRunSeeds:
 
 
 class TestKeywordOnlyParams:
-    def test_run_workload_rejects_positional_seed(self):
+    def test_simulate_rejects_positional_seeds(self):
         with pytest.raises(TypeError):
-            run_workload(quick_factory(), quick_config(), 1)
+            api.simulate(quick_factory(), quick_config(), 1)
 
     def test_run_seeds_rejects_positional_seeds(self):
         with pytest.raises(TypeError):
-            run_seeds(quick_factory(), quick_config(), (1, 2))
+            api.run_seeds(quick_factory(), quick_config(), (1, 2))
 
 
 class TestRetrySweep:
     def test_sweep_returns_best(self):
-        with deprecated():
-            best, threshold = sweep_retry_threshold(
-                quick_factory(ops=4), quick_config(), thresholds=(1, 4),
-                seeds=(1,), trim=0,
-            )
+        best, threshold = api.sweep_retry_threshold(
+            quick_factory(ops=4), quick_config(), thresholds=(1, 4),
+            seeds=(1,), trim=0,
+        )
         assert threshold in (1, 4)
-        with deprecated():
-            alternatives = [
-                run_seeds(
-                    quick_factory(ops=4),
-                    quick_config(retry_threshold=candidate),
-                    seeds=(1,),
-                    trim=0,
-                ).cycles
-                for candidate in (1, 4)
-            ]
+        alternatives = [
+            api.run_seeds(
+                quick_factory(ops=4),
+                quick_config(retry_threshold=candidate),
+                seeds=(1,),
+                trim=0,
+            ).cycles
+            for candidate in (1, 4)
+        ]
         assert best.cycles == min(alternatives)
 
     def test_named_workload_sweeps_through_engine(self):
         # The engine path (workload given by name) must agree with the
-        # legacy factory path cell for cell.
-        with deprecated():
-            by_factory = sweep_retry_threshold(
-                quick_factory(ops=4), quick_config(), thresholds=(1, 4),
-                seeds=(1,), trim=0,
-            )
-            by_name = sweep_retry_threshold(
-                "mwobject", quick_config(), thresholds=(1, 4), seeds=(1,),
-                trim=0, ops_per_thread=4,
-            )
+        # inline factory path cell for cell.
+        by_factory = api.sweep_retry_threshold(
+            quick_factory(ops=4), quick_config(), thresholds=(1, 4),
+            seeds=(1,), trim=0,
+        )
+        by_name = api.sweep_retry_threshold(
+            "mwobject", quick_config(), thresholds=(1, 4), seeds=(1,),
+            trim=0, ops_per_thread=4,
+        )
         assert by_factory[1] == by_name[1]
         assert by_factory[0].cycles == by_name[0].cycles
         assert by_factory[0].to_dict() == by_name[0].to_dict()
